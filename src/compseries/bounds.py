@@ -7,18 +7,18 @@ computed by repeated multiplication, never by floating point.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from itertools import compress
+from math import factorial, isqrt, prod
 
 import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError
-from .formulas import Factorization, exact_div, gaussian_hyperplanes, is_prime
+from .formulas import gaussian_hyperplanes, is_prime
 
 
 def ilog(base, n):
@@ -126,16 +126,7 @@ def check_inequality_2(params):
 
 def check_inequality_4(params):
     """The a = 0 reduction: prod(2^i-1) a1! ar! > prod gauss * (a1+ar)!."""
-    a1, ar, p, k = params.alpha1, params.alpha_r, params.p, params.k
-    lhs = (
-        prod(2**i - 1 for i in range(a1 + 1, a1 + k + 1))
-        * factorial(a1)
-        * factorial(ar)
-    )
-    rhs = prod(gaussian_hyperplanes(p, j) for j in range(1, ar + 1)) * factorial(
-        a1 + ar
-    )
-    return lhs > rhs
+    return xy_ratio(params) > 1
 
 
 def factorial_ratio(alpha1, alpha_r, a, b):
@@ -209,10 +200,12 @@ class SweepResult:
 def spf_sieve(n):
     """Smallest-prime-factor table 0..n (numpy, ~4 bytes per entry)."""
     spf = np.zeros(n + 1, dtype=np.int32)
-    for i in range(2, n + 1):
+    for i in range(2, isqrt(n) + 1):
         if spf[i] == 0:
-            sl = spf[i::i]
+            sl = spf[i * i :: i]
             sl[sl == 0] = i
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
     return spf
 
 
@@ -229,70 +222,69 @@ def factor_exponents(m, spf):
     return out
 
 
-def _candidate_count(pairs, gauss_cache, fact):
-    """Series count of the elementary-Sylow abelian group of this factorization."""
-    acc = 1
-    s = 0
-    den = 1
-    for p, a in pairs:
-        key = (p, a)
-        g = gauss_cache.get(key)
-        if g is None:
-            g = prod(gaussian_hyperplanes(p, j) for j in range(1, a + 1))
-            gauss_cache[key] = g
-        acc *= g
-        s += a
-        den *= fact[a]
-    return acc * fact[s] // den
+def primes_upto(n):
+    """The primes <= n, ascending, from a bytearray sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
 
 
-def _sweep_chunk(lo, hi, n, bound_n, spf):
-    fact = [factorial(i) for i in range(ilog(2, n) + 2)]
-    gauss_cache = {}
-    violations = []
-    attainers = []
-    max_cand = 0
-    for m in range(lo, hi):
-        pairs = factor_exponents(m, spf)
-        cand = _candidate_count(pairs, gauss_cache, fact)
-        if cand > max_cand:
-            max_cand = cand
-        if cand >= bound_n:
-            if cand == bound_n:
-                attainers.append(m)
-            else:
-                violations.append(
-                    SweepRecord(m, tuple(pairs), cand, bound_n, False)
-                )
-    return violations, attainers, max_cand
+def squarefree_cofactors(q, k, lo, hi):
+    """Every s = p_1 * ... * p_k, primes p_1 < ... < p_k not dividing q, with
+    lo <= q*s <= hi, as the ascending prime tuples, in lexicographic order."""
+    if k == 0:
+        return [()] if lo <= q <= hi else []
+    # the last prime is largest when the others are the k-1 smallest primes
+    # coprime to q
+    smallest = []
+    p = 1
+    while len(smallest) < k - 1:
+        p += 1
+        if q % p and is_prime(p):
+            smallest.append(p)
+    top = hi // (q * prod(smallest))
+    primes = [p for p in primes_upto(top) if q % p]
+    out = []
+
+    def walk(start, k, s, chosen):
+        if k == 1:
+            first = bisect_left(primes, -(-lo // (q * s)), start)
+            for p in primes[first : bisect_right(primes, hi // (q * s))]:
+                out.append(chosen + (p,))
+            return
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if q * s * p**k > hi:
+                break
+            walk(i + 1, k - 1, s * p, chosen + (p,))
+
+    walk(0, k, 1, ())
+    return out
 
 
-_WORKER_SPF = None
-_WORKER_N = None
-
-
-def _worker_init(n):
-    global _WORKER_SPF, _WORKER_N
-    _WORKER_SPF = spf_sieve(n)
-    _WORKER_N = n
-
-
-def _worker_chunk(args):
-    lo, hi, n, bound_n = args
-    return _sweep_chunk(lo, hi, n, bound_n, _WORKER_SPF)
-
-
-def default_jobs():
-    return os.cpu_count() or 1
-
-
-def sweep_theorem_43(n, jobs=1, per_order=False, cap=None):
+def sweep_theorem_43(n, per_order=False, cap=None):
     """Compare every order 4..n against the fixed bound(n).
 
     Returns violations (expected none), the orders attaining equality
     (expected: only 2^floor(log2 n)), and the max candidate/bound ratio as an
     exact rational rendered to six decimals.  ``per_order`` additionally
     reports orders m with candidate(m) = bound(m).
+
+    The candidate of m is the series count of the abelian group of order m
+    with elementary abelian Sylow subgroups, prod G(p, a) * (sum a)! /
+    prod a!, where G(p, a) = prod_{j<=a} (p^j - 1)/(p - 1).  Write m = q*s
+    with q powerful (every exponent >= 2, exponent sum A) and s squarefree,
+    coprime to q, with k prime factors.  Since G(p, 1) = 1, the candidate is
+    candidate(q, k) = prod G(p, a) * (A + k)! / prod a!, whichever primes
+    make up s, and it increases strictly with k.  So one pass over the
+    powerful q <= n, with k up to k_max(q), the number of smallest primes
+    not dividing q whose product stays <= n/q, sees every candidate; the
+    orders behind a candidate are listed only when it reaches a bound.
     """
     if cap is None:
         cap = config.DEFAULT_SWEEP_CAP
@@ -302,43 +294,77 @@ def sweep_theorem_43(n, jobs=1, per_order=False, cap=None):
         raise CapacityError(f"sweep limit {n} exceeds the cap {cap}")
     t0 = time.monotonic()
     bound_n = bound(n)
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = max(1, min(jobs, (n - 4) // 10000 + 1))
-    if jobs == 1:
-        spf = spf_sieve(n)
-        chunks = [_sweep_chunk(4, n + 1, n, bound_n, spf)]
-    else:
-        bounds_ = np.linspace(4, n + 1, jobs + 1).astype(int)
-        args = [(int(lo), int(hi), n, bound_n) for lo, hi in zip(bounds_, bounds_[1:])]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(n,)) as ex:
-            chunks = list(ex.map(_worker_chunk, args))
+    top = ilog(2, n)
+    fact = [factorial(i) for i in range(top + 1)]  # A + k <= log2(m)
+    # bound(m) = bound(2^j) on 2^j <= m < 2^(j+1), and these values increase
+    # strictly with j, so a candidate equals at most one of them
+    level = {bound(2**j): j for j in range(2, top + 1)}
+    # the product of the primes <= max(isqrt(n), 64) exceeds n, so the
+    # smallest primes not dividing q never run out below
+    primes = primes_upto(max(isqrt(n), 64))
     violations = []
     attainers = []
+    per_order_attainers = []
     max_cand = 0
-    for v, a, mc in chunks:
-        violations.extend(v)
-        attainers.extend(a)
-        max_cand = max(max_cand, mc)
+
+    def orders(q, pairs, k, lo, hi):
+        for s in squarefree_cofactors(q, k, lo, hi):
+            yield q * prod(s), tuple(sorted(pairs + tuple((p, 1) for p in s)))
+
+    def visit(q, pairs, g, A, den):
+        nonlocal max_cand
+        # cands[k] = candidate(q, k) for k = 0..k_max(q)
+        cands = [g * fact[A] // den]
+        limit = n // q
+        s = 1
+        for p in primes:
+            if q % p:
+                s *= p
+                if s > limit:
+                    break
+                cands.append(cands[-1] * (A + len(cands)))
+        # m = 1, 2, 3 have candidate 1 < bound(4), so the maximum over every
+        # m <= n is the maximum over 4 <= m <= n
+        max_cand = max(max_cand, cands[-1])
+        for k, cand in enumerate(cands):
+            if cand >= bound_n:
+                for m, fac in orders(q, pairs, k, 4, n):
+                    if cand == bound_n:
+                        attainers.append(m)
+                    else:
+                        violations.append(SweepRecord(m, fac, cand, bound_n, False))
+            j = level.get(cand) if per_order else None
+            if j is not None:
+                hi = min((2 << j) - 1, n)
+                per_order_attainers.extend(m for m, _ in orders(q, pairs, k, 1 << j, hi))
+
+    def descend(start, q, pairs, g, A, den):
+        """Visit the powerful q, then each q * p^a with a >= 2 and p a prime of
+        primes[start:], so each powerful number is visited once."""
+        visit(q, pairs, g, A, den)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if q * p * p > n:
+                break
+            a, pa, gp = 1, p, 1
+            while q * pa * p <= n:
+                a += 1
+                pa *= p
+                gp *= gaussian_hyperplanes(p, a)
+                descend(i + 1, q * pa, pairs + ((p, a),), g * gp, A + a, den * fact[a])
+
+    descend(0, 1, (), 1, 0, 1)
     violations.sort(key=lambda r: r.m)
     attainers.sort()
+    per_order_attainers.sort()
     # exact rational rendered half-up to six decimals
     scaled = (max_cand * 10**6 * 2 + bound_n) // (2 * bound_n)
     ratio = f"{scaled // 10**6}.{scaled % 10**6:06d}"
-    result = SweepResult(
-        n, violations, attainers, ratio, int((time.monotonic() - t0) * 1000)
+    return SweepResult(
+        n,
+        violations,
+        attainers,
+        ratio,
+        int((time.monotonic() - t0) * 1000),
+        per_order_attainers,
     )
-    if per_order:
-        spf = spf_sieve(n)
-        fact = [factorial(i) for i in range(ilog(2, n) + 2)]
-        gauss_cache = {}
-        cur_bound = None
-        next_pow = 4
-        for m in range(4, n + 1):
-            if m == next_pow:
-                cur_bound = bound(m)
-                next_pow *= 2
-            cand = _candidate_count(factor_exponents(m, spf), gauss_cache, fact)
-            if cand == cur_bound:
-                result.per_order_attainers.append(m)
-    return result

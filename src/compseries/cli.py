@@ -1,8 +1,10 @@
 """Batch command-line surface.
 
 Exit codes: 0 success, 1 domain/internal error, 2 parse error, 3 cross-check
-mismatch, 4 capacity error, 5 sweep violation.  Counts are serialized as
-decimal strings so arbitrary precision survives JSON.
+mismatch, 4 capacity error, 5 sweep violation.  An element cap that is not an
+integer (COMPSERIES_ELEMENT_CAP=abc) exits 2; a cap <= 0, from the variable or
+from --element-cap, exits 1.  Counts are serialized as decimal strings so
+arbitrary precision survives JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import tempfile
 import time
 
-from . import bounds, catalog, config, formulas, group_core, lattice, series
+from . import __version__, bounds, catalog, config, formulas, group_core, lattice, series
 from .errors import CapacityError, CompseriesError, DomainError, SpecParseError
 
 EXIT_OK = 0
@@ -83,22 +85,28 @@ def cache_put(key, report):
 
 
 def _load_group(args):
-    """(canonical name, GroupTable, spec-or-None) from --group / --group-file."""
+    """(canonical name, source, GroupTable, spec-or-None) from --group / --group-file.
+
+    ``source`` identifies the group for the result cache: the canonical spec,
+    or the SHA-256 of the group file's bytes, so a rewritten file misses.
+    """
     if getattr(args, "group_file", None):
-        with open(args.group_file) as fh:
-            payload = json.load(fh)
+        with open(args.group_file, "rb") as fh:
+            data = fh.read()
+        payload = json.loads(data)
         try:
             points = payload["points"]
             gens = payload["generators"]
         except (TypeError, KeyError) as exc:
             raise SpecParseError(f"group file missing field: {exc}")
         G = group_core.build_from_generators(points, gens, cap=args.element_cap)
-        return f"file:{args.group_file}", G, None
+        source = "file-sha256:" + hashlib.sha256(data).hexdigest()
+        return f"file:{args.group_file}", source, G, None
     if not getattr(args, "group", None):
         raise SpecParseError("one of --group or --group-file is required")
     spec = catalog.parse_spec(args.group)
     name = catalog.print_spec(spec)
-    return name, None, spec  # realized lazily; formula modes may not need it
+    return name, name, None, spec  # realized lazily; formula modes may not need it
 
 
 def _emit(report, args):
@@ -156,8 +164,11 @@ def _formula_count(spec):
 
 def cmd_count(args):
     t0 = time.monotonic()
-    name, G, spec = _load_group(args)
-    key = f"count|{name}|mode={args.mode}|cross={args.cross_check}"
+    name, source, G, spec = _load_group(args)
+    key = (
+        f"count|{source}|mode={args.mode}|cross={args.cross_check}"
+        f"|cap={args.element_cap}|version={__version__}"
+    )
     cached = cache_get(key)
     if cached is not None:
         cached = dict(cached)
@@ -201,7 +212,7 @@ def cmd_count(args):
 
 def cmd_enumerate(args):
     t0 = time.monotonic()
-    name, G, spec = _load_group(args)
+    name, _, G, spec = _load_group(args)
     if G is None:
         G = catalog.realize(spec, cap=args.element_cap)
     chains = series.enumerate_series(G, limit=args.limit)
@@ -237,10 +248,8 @@ def cmd_bound(args):
 
 def cmd_sweep(args):
     t0 = time.monotonic()
-    res = bounds.sweep_theorem_43(
-        args.max_n, jobs=args.jobs, per_order=args.per_order
-    )
-    report = _base_report("sweep", {"max_n": args.max_n, "jobs": args.jobs}, t0)
+    res = bounds.sweep_theorem_43(args.max_n, per_order=args.per_order)
+    report = _base_report("sweep", {"max_n": args.max_n}, t0)
     report["result"] = res.to_json_obj()
     _emit(report, args)
     return EXIT_VIOLATION if res.violations else EXIT_OK
@@ -286,7 +295,7 @@ def cmd_catalog_list(args):
 
 def cmd_lattice(args):
     t0 = time.monotonic()
-    name, G, spec = _load_group(args)
+    name, _, G, spec = _load_group(args)
     if G is None:
         G = catalog.realize(spec, cap=args.element_cap)
     if args.what == "subgroups":
@@ -352,7 +361,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="exhaustive order sweep against the bound")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers")
     p.add_argument("--per-order", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -384,15 +392,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.element_cap is None:
-        args.element_cap = config.element_cap()
     try:
+        if args.element_cap is None:
+            args.element_cap = config.element_cap()
+        else:
+            config.check_element_cap(args.element_cap, "--element-cap")
         return args.func(args)
     except SpecParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)
         return EXIT_PARSE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:

@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import DomainError, SpecParseError
+
 DEFAULT_ELEMENT_CAP = 4096
 
 # all_subgroups suffers combinatorial blowup; the normal-subgroup closure does not.
@@ -10,14 +12,24 @@ SUBGROUP_ENUM_CAP = 256
 # Full N^3 associativity verification below this order, random triples above.
 ASSOC_FULL_CHECK_CAP = 512
 
-DEFAULT_SWEEP_CAP = 10**6
+DEFAULT_SWEEP_CAP = 10**12
 
 
 def element_cap():
     raw = os.environ.get("COMPSERIES_ELEMENT_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"COMPSERIES_ELEMENT_CAP must be an integer, got {raw!r}")
-    return DEFAULT_ELEMENT_CAP
+    if not raw:
+        return DEFAULT_ELEMENT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise SpecParseError(
+            f"COMPSERIES_ELEMENT_CAP must be an integer, got {raw!r}"
+        ) from None
+    return check_element_cap(cap, "COMPSERIES_ELEMENT_CAP")
+
+
+def check_element_cap(cap, source):
+    """cap itself; a DomainError naming ``source`` unless cap is positive."""
+    if cap < 1:
+        raise DomainError(f"{source} must be positive, got {cap}")
+    return cap

@@ -129,7 +129,7 @@ def test_acceptance_5_abelian_oracle_formula_equivalence(roster_tables, realized
 def test_acceptance_6_million_order_sweep():
     """Sweep to 10^6: zero violations, unique attainer 524288, under 2 minutes."""
     t0 = time.monotonic()
-    res = sweep_theorem_43(10**6, jobs=None)
+    res = sweep_theorem_43(10**6)
     elapsed = time.monotonic() - t0
     ok = res.violations == [] and res.equality_attainers == [524288] and elapsed < 120.0
     report(

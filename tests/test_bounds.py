@@ -10,6 +10,7 @@ from compseries import (
     CapacityError,
     DomainError,
     InequalityParams,
+    SweepRecord,
     bound,
     check_induction_base,
     check_inequality_1,
@@ -18,15 +19,23 @@ from compseries import (
     lemma41_ratio_exceeds_one,
     sweep_theorem_43,
 )
+from compseries import bounds as bounds_module
 from compseries.bounds import (
     check_inequality_4,
     factor_exponents,
     factorial_ratio,
     ilog,
     spf_sieve,
+    squarefree_cofactors,
     xy_ratio,
 )
-from compseries.formulas import is_prime
+from compseries.formulas import (
+    Factorization,
+    count_abelian_elem_sylow,
+    count_cyclic,
+    factorize,
+    is_prime,
+)
 
 
 def grid_params():
@@ -277,12 +286,105 @@ def test_sweep_1000():
     assert res.violations == [] and res.equality_attainers == [512]
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep_theorem_43(50_000, jobs=1)
-    parallel = sweep_theorem_43(50_000, jobs=4)
-    assert serial.equality_attainers == parallel.equality_attainers == [32768]
-    assert serial.violations == parallel.violations == []
-    assert serial.max_ratio == parallel.max_ratio
+def reference_sweeps(limit, ns, bound=bound, candidate=count_abelian_elem_sylow):
+    """SweepResult fields for each n in ns, from every order's candidate.
+
+    By default the candidate of m is the closed-form series count of the
+    abelian group of order m with elementary abelian Sylow subgroups; m is
+    factored by the sieve.
+    """
+    spf = spf_sieve(limit)
+    pairs = [None] * 4 + [tuple(factor_exponents(m, spf)) for m in range(4, limit + 1)]
+    cand = [None] * 4 + [candidate(Factorization(pairs[m])) for m in range(4, limit + 1)]
+    per_order = [m for m in range(4, limit + 1) if cand[m] == bound(m)]
+    for n in ns:
+        b = bound(n)
+        violations = [
+            SweepRecord(m, pairs[m], cand[m], b, False)
+            for m in range(4, n + 1)
+            if cand[m] > b
+        ]
+        attainers = [m for m in range(4, n + 1) if cand[m] == b]
+        scaled = (max(cand[4 : n + 1]) * 10**6 * 2 + b) // (2 * b)
+        ratio = f"{scaled // 10**6}.{scaled % 10**6:06d}"
+        yield n, (violations, attainers, ratio, [m for m in per_order if m <= n])
+
+
+def sweep_fields(n):
+    res = sweep_theorem_43(n, per_order=True)
+    return res.violations, res.equality_attainers, res.max_ratio, res.per_order_attainers
+
+
+def test_sweep_matches_per_order_reference_to_1024():
+    for n, expected in reference_sweeps(1024, range(4, 1025)):
+        assert sweep_fields(n) == expected, n
+
+
+def test_sweep_matches_per_order_reference_at_1e5():
+    ((n, expected),) = reference_sweeps(10**5, [10**5])
+    assert sweep_fields(n) == expected
+    assert expected[1] == [65536]
+
+
+@pytest.mark.parametrize(
+    "candidate, gauss",
+    [(count_abelian_elem_sylow, None), (count_cyclic, lambda p, a: 1)],
+)
+def test_sweep_matches_reference_under_a_lowered_bound(monkeypatch, candidate, gauss):
+    """With bound(n) = floor(log2 n), far below the real bound, many orders
+    are violations and per-order equalities, orders with a squarefree
+    cofactor (k >= 1) among them.  With G(p, a) = 1 the candidate is the
+    cyclic count, whose maximum is not at a power of 2."""
+
+    def low(n):
+        return ilog(2, n)
+
+    monkeypatch.setattr(bounds_module, "bound", low)
+    if gauss:
+        monkeypatch.setattr(bounds_module, "gaussian_hyperplanes", gauss)
+    for n, expected in reference_sweeps(300, range(4, 301), low, candidate):
+        assert sweep_fields(n) == expected, n
+
+
+@pytest.mark.parametrize(
+    "q, k, lo, hi",
+    [
+        (1, 1, 1, 200),
+        (1, 2, 4, 1000),
+        (1, 3, 30, 3000),
+        (4, 1, 4, 1000),
+        (4, 2, 100, 2000),
+        (9, 2, 1, 3000),
+        (36, 1, 40, 5000),
+        (72, 2, 1, 10**4),
+        (8, 3, 1, 10**4),
+        (900, 1, 1, 10**4),
+        (1, 4, 1, 10**4),
+        (4, 1, 50, 40),
+        (8, 0, 4, 100),
+        (8, 0, 9, 100),
+        (1, 0, 4, 100),
+    ],
+)
+def test_squarefree_cofactors_brute_force(q, k, lo, hi):
+    got = squarefree_cofactors(q, k, lo, hi)
+    expected = []
+    for s in range(1, hi // q + 1):
+        fac = factorize(s).pairs
+        if (
+            lo <= q * s
+            and len(fac) == k
+            and all(a == 1 and q % p for p, a in fac)
+        ):
+            expected.append(tuple(p for p, _ in fac))
+    assert got == sorted(expected)
+
+
+def test_sweep_1e9():
+    res = sweep_theorem_43(10**9)
+    assert res.violations == []
+    assert res.equality_attainers == [2**29]
+    assert res.max_ratio == "1.000000"
 
 
 def test_sweep_per_order_attainers():

@@ -119,11 +119,41 @@ def test_group_file_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_group_file_undecodable_bytes_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "count", "--group-file", str(path))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_group_file_missing_field_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": 3}))
     code, _, _ = run(capsys, "count", "--group-file", str(path))
     assert code == 2
+
+
+def test_non_integer_element_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "abc")
+    code, out, err = run(capsys, "count", "--group", "Z12")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "COMPSERIES_ELEMENT_CAP" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [("0", []), ("-5", []), (None, ["--element-cap", "0"]), (None, ["--element-cap", "-1"])],
+)
+def test_non_positive_element_cap_exits_1(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("COMPSERIES_ELEMENT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", env)
+    code, out, err = run(capsys, *argv, "count", "--group", "Z12")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must be positive" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_group_argument_exits_2(capsys):
@@ -182,6 +212,7 @@ def test_bound_rejects_small_n(capsys):
 def test_sweep_command(capsys):
     code, rep, _ = run_json(capsys, "sweep", "--max-n", "1000")
     assert code == 0
+    assert rep["inputs"] == {"max_n": 1000}
     assert rep["result"]["violations"] == []
     assert rep["result"]["equality_attainers"] == [512]
 
@@ -252,6 +283,28 @@ def test_corrupt_cache_entry_recomputed_with_warning(capsys, tmp_path, monkeypat
     assert rep["cache_hit"] is False
     assert rep["result"]["count"] == "12"
     assert "corrupt" in err
+
+
+def test_cache_misses_after_group_file_is_rewritten(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_CACHE", str(tmp_path / "cache"))
+    path = tmp_path / "grp.json"
+    # the Klein four group, then Z4, under the same path
+    path.write_text(json.dumps({"points": 4, "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}))
+    code, rep, _ = run_json(capsys, "count", "--group-file", str(path))
+    assert code == 0 and rep["result"]["count"] == "3"
+    code, rep, _ = run_json(capsys, "count", "--group-file", str(path))
+    assert code == 0 and rep["cache_hit"] is True
+    path.write_text(json.dumps({"points": 4, "generators": [[1, 2, 3, 0]]}))
+    code, rep, _ = run_json(capsys, "count", "--group-file", str(path))
+    assert code == 0 and rep["cache_hit"] is False
+    assert rep["result"]["count"] == "1"
+
+
+def test_cache_key_includes_element_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_CACHE", str(tmp_path))
+    run_json(capsys, "count", "--group", "Z60")
+    code, rep, _ = run_json(capsys, "--element-cap", "100", "count", "--group", "Z60")
+    assert code == 0 and rep["cache_hit"] is False
 
 
 def test_no_cache_dir_means_no_files(capsys, tmp_path, monkeypatch):
