@@ -2,7 +2,7 @@
 exhaustive sweep comparing every order's best abelian candidate to the bound.
 
 Every comparison is exact integer cross-multiplication; integer logs are
-computed by repeated multiplication, never by floating point.
+computed by repeated multiplication or bit length, never by floating point.
 """
 
 from __future__ import annotations
@@ -34,10 +34,18 @@ def ilog(base, n):
 
 
 def bound(n):
-    """prod_{i=1..floor(log2 n)} (2^i - 1), the series-count upper bound."""
+    """prod_{i=1..floor(log2 n)} (2^i - 1), the series-count upper bound.
+
+    Raises CapacityError when floor(log2 n) exceeds ``config.BOUND_LOG2_CAP``.
+    """
     if n < 4:
         raise DomainError("the bound is only stated for n >= 4")
-    return prod(2**i - 1 for i in range(1, ilog(2, n) + 1))
+    top = n.bit_length() - 1  # floor(log2 n), exact
+    if top > config.BOUND_LOG2_CAP:
+        raise CapacityError(
+            f"bound refused: floor(log2 n) = {top} exceeds the cap {config.BOUND_LOG2_CAP}"
+        )
+    return prod(2**i - 1 for i in range(1, top + 1))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 domain/internal error, 2 parse error, 3 cross-check
 mismatch, 4 capacity error, 5 sweep violation.  An element cap that is not an
 integer (COMPSERIES_ELEMENT_CAP=abc) exits 2; a cap <= 0, from the variable or
-from --element-cap, exits 1.  Counts are serialized as decimal strings so
-arbitrary precision survives JSON.
+from --element-cap, exits 1.  ``bound N`` with floor(log2 N) above
+``config.BOUND_LOG2_CAP`` exits 4.  Counts are serialized as decimal strings of
+any length, so arbitrary precision survives JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from decimal import Decimal
 
 from . import __version__, bounds, catalog, config, formulas, group_core, lattice, series
 from .errors import CapacityError, CompseriesError, DomainError, SpecParseError
@@ -109,6 +111,15 @@ def _load_group(args):
     return name, name, None, spec  # realized lazily; formula modes may not need it
 
 
+def _decimal(value):
+    """Decimal string of the int ``value``, of any length.
+
+    str() refuses ints of more than 4300 digits (sys.int_max_str_digits);
+    Decimal converts exactly and prints an exponent-0 value as plain digits.
+    """
+    return str(Decimal(value))
+
+
 def _emit(report, args):
     if args.json:
         print(json.dumps(report, indent=2))
@@ -197,9 +208,9 @@ def cmd_count(args):
         values["brute-force"] = series.count_series(G).value
     report = _base_report("count", {"group": name, "mode": args.mode}, t0)
     report["result"] = {
-        "count": str(next(iter(values.values()))),
+        "count": _decimal(next(iter(values.values()))),
         "method": "+".join(values.keys()),
-        "by_method": {k: str(v) for k, v in values.items()},
+        "by_method": {k: _decimal(v) for k, v in values.items()},
     }
     if len(set(values.values())) > 1:
         report["result"]["mismatch"] = True
@@ -241,7 +252,7 @@ def cmd_bound(args):
     t0 = time.monotonic()
     value = bounds.bound(args.n)
     report = _base_report("bound", {"n": args.n}, t0)
-    report["result"] = {"bound": str(value)}
+    report["result"] = {"bound": _decimal(value)}
     _emit(report, args)
     return EXIT_OK
 

@@ -14,6 +14,11 @@ ASSOC_FULL_CHECK_CAP = 512
 
 DEFAULT_SWEEP_CAP = 10**12
 
+# bound(n) has about floor(log2 n)^2 / 2 bits.  On a 2-CPU x86 host, bound(n)
+# and its decimal string take under a second at floor(log2 n) = 1024 and about
+# ten at 2048.
+BOUND_LOG2_CAP = 1024
+
 
 def element_cap():
     raw = os.environ.get("COMPSERIES_ELEMENT_CAP")

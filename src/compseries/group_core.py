@@ -147,10 +147,7 @@ class Subgroup:
 
     @cached_property
     def mask(self):
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+        return mask_of(self.members)
 
     @property
     def order(self):
@@ -177,36 +174,77 @@ class Subgroup:
 # closure machinery on raw member tuples
 
 
+def mask_of(members):
+    """Bit mask with bit x set for each member x."""
+    m = 0
+    for x in members:
+        m |= 1 << x
+    return m
+
+
 def close_members(G, seed):
     """Smallest subgroup of G containing ``seed``, as a sorted member tuple."""
+    return tuple(sorted(_dimino_close(G, seed)[0]))
+
+
+def _dimino_close(G, seed):
+    """Closure of ``seed`` as (members in discovery order, generators).
+
+    Each seed element not yet in the closure extends it (``dimino_extend``)
+    and becomes a generator, so the generators are a greedy generating set.
+    """
     seed = [int(x) for x in seed]
     for x in seed:
         if not 0 <= x < G.order:
             raise DomainError(f"seed index {x} out of range")
+    members = [0]
+    flags = bytearray(G.order)
+    flags[0] = 1
+    gens = []
+    for g in seed:
+        if not flags[g]:
+            dimino_extend(G, members, flags, gens, g)
+            gens.append(g)
+    return members, gens
+
+
+def dimino_extend(G, members, flags, gens, g):
+    """Dimino step: extend the subgroup S = ``members``, generated by ``gens``, to <S, g>.
+
+    Appends the elements of <S, g> outside S to ``members`` and marks them in
+    ``flags`` (one byte per element of G), by whole right cosets S*t with
+    t = r*h for a coset representative r and a generator h: |<S, g>| products
+    plus index * #gens lookups, not |<S, g>|^2 (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, 2005).  Up to ``_SMALL_N`` the cosets are
+    read from ``G.rows()``, faster there than numpy; above it, one gather each.
+    """
+    allgens = (*gens, g)
+    reps = [0]
     if G.order <= _SMALL_N:
         rows = G.rows()
-        members = {0}
-        stack = [x for x in seed if x != 0]
-        while stack:
-            x = stack.pop()
-            if x in members:
-                continue
-            members.add(x)
-            rx = rows[x]
-            for y in tuple(members):
-                z = rx[y]
-                if z not in members:
-                    stack.append(z)
-                z = rows[y][x]
-                if z not in members:
-                    stack.append(z)
-        return tuple(sorted(members))
-    cur = np.unique(np.array([0] + seed, dtype=G.mult.dtype))
-    while True:
-        new = np.unique(G.mult[np.ix_(cur, cur)])
-        if new.size == cur.size:
-            return tuple(int(x) for x in new)
-        cur = new
+        sub_rows = [rows[s] for s in members]
+        for r in reps:  # reps grows while it is walked
+            row = rows[r]
+            for h in allgens:
+                t = row[h]
+                if not flags[t]:
+                    coset = [sr[t] for sr in sub_rows]
+                    for e in coset:
+                        flags[e] = 1
+                    members += coset
+                    reps.append(t)
+        return
+    mult = G.mult
+    sub = np.array(members, dtype=np.intp)
+    marks = np.frombuffer(flags, dtype=np.uint8)  # a view: writes land in flags
+    for r in reps:
+        for h in allgens:
+            t = int(mult[r, h])
+            if not flags[t]:
+                coset = mult[sub, t]
+                marks[coset] = 1
+                members += coset.tolist()
+                reps.append(t)
 
 
 def generated_subgroup(G, seed):
@@ -262,25 +300,10 @@ def build_from_generators(n_points, generators, cap=None, labels=False):
 # predicates
 
 
-def _greedy_generators(G, members):
-    """A small generating set of the subgroup given by ``members``."""
-    gens = []
-    closed = (0,)
-    closed_set = {0}
-    for x in members:
-        if x not in closed_set:
-            gens.append(x)
-            closed = close_members(G, closed + (x,))
-            closed_set = set(closed)
-            if len(closed) == len(members):
-                break
-    return gens
-
-
 def is_normal(G, H):
     """True iff g h g^-1 lies in H for all g in G, h in H.
 
-    Conjugating a greedy generating set of H by every g suffices.
+    Conjugating a generating set of H by every g suffices.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -288,7 +311,7 @@ def is_normal(G, H):
         return True
     if G.is_abelian:
         return True
-    gens = _greedy_generators(G, H.members)
+    _, gens = _dimino_close(G, H.members)
     mult, inv = G.mult, G.inv
     member_flags = np.zeros(G.order, dtype=bool)
     member_flags[list(H.members)] = True
@@ -304,7 +327,7 @@ def _members_normal_in(G, inner, outer):
     inner_set = set(inner)
     if len(inner) in (1, len(outer)):
         return True
-    gens = _greedy_generators(G, inner)
+    _, gens = _dimino_close(G, inner)
     if G.order <= _SMALL_N:
         rows, inv = G.rows(), G.inv_list()
         for g in outer:

@@ -31,10 +31,12 @@ from .group_core import (
     close_members,
     classes_of_members,
     derived_members,
+    dimino_extend,
     is_abelian_members,
     is_solvable_members,
     coset_quotient,
     element_power,
+    mask_of,
     _SMALL_N,
 )
 
@@ -59,35 +61,6 @@ class SubgroupSet:
         return {s.mask for s in self.items}
 
 
-def _mask_of(members):
-    m = 0
-    for x in members:
-        m |= 1 << x
-    return m
-
-
-def _extend_subgroup(rows, sub_members, sub_mask, gens, g):
-    """Dimino step: members and mask of <S, g> given a subgroup S with ``gens``."""
-    mask = sub_mask
-    members = list(sub_members)
-    allgens = list(gens) + [g]
-    reps = [0]
-    i = 0
-    while i < len(reps):
-        rr = rows[reps[i]]
-        i += 1
-        for h in allgens:
-            t = rr[h]
-            if not (mask >> t) & 1:
-                for s in sub_members:
-                    e = rows[s][t]
-                    mask |= 1 << e
-                    members.append(e)
-                reps.append(t)
-    members.sort()
-    return tuple(members), mask
-
-
 def all_subgroups(G, cap=None):
     """Every subgroup of G exactly once (breadth-first closure from trivial)."""
     if cap is None:
@@ -97,31 +70,40 @@ def all_subgroups(G, cap=None):
         raise CapacityError(
             f"all_subgroups refused: order {n} exceeds the subgroup-enumeration cap {cap}"
         )
-    rows = G.rows()
-    seen = {1: (0,)}
-    queue = [((0,), 1, ())]
+    trivial = bytearray(n)
+    trivial[0] = 1
+    seen = {bytes(trivial): [0]}
+    queue = [([0], trivial, ())]
     while queue:
-        members, mask, gens = queue.pop()
+        members, flags, gens = queue.pop()
         for g in range(1, n):
-            if (mask >> g) & 1:
+            if flags[g]:
                 continue
-            t_members, t_mask = _extend_subgroup(rows, members, mask, gens, g)
-            if t_mask not in seen:
-                seen[t_mask] = t_members
-                queue.append((t_members, t_mask, gens + (g,)))
-    ordered = sorted(seen.values(), key=lambda t: (len(t), t))
+            t_members, t_flags = list(members), bytearray(flags)
+            dimino_extend(G, t_members, t_flags, gens, g)
+            key = bytes(t_flags)
+            if key not in seen:
+                seen[key] = t_members
+                queue.append((t_members, t_flags, gens + (g,)))
+    ordered = sorted((tuple(sorted(m)) for m in seen.values()), key=lambda t: (len(t), t))
     return SubgroupSet(G, [Subgroup(G, m) for m in ordered])
 
 
 def normal_member_sets(G, members):
-    """All normal subgroups of the subgroup ``members``, as member tuples."""
+    """All normal subgroups of the subgroup ``members``, as member tuples.
+
+    The lattice of the whole group is kept in ``G._normal_cache``.
+    """
+    whole = len(members) == G.order
+    if whole and G._normal_cache is not None:
+        return G._normal_cache
     classes = classes_of_members(G, members)
     atoms = {}
     for cls in classes:
         if cls == (0,):
             continue
         mem = close_members(G, cls)
-        atoms.setdefault(_mask_of(mem), mem)
+        atoms.setdefault(mask_of(mem), mem)
     normals = {1: (0,)}
     frontier = [((0,), 1)]
     while frontier:
@@ -130,11 +112,14 @@ def normal_member_sets(G, members):
             if amask | nmask == nmask:
                 continue
             join = close_members(G, set(nmem) | set(amem))
-            jmask = _mask_of(join)
+            jmask = mask_of(join)
             if jmask not in normals:
                 normals[jmask] = join
                 frontier.append((join, jmask))
-    return sorted(normals.values(), key=lambda t: (len(t), t))
+    out = sorted(normals.values(), key=lambda t: (len(t), t))
+    if whole:
+        G._normal_cache = out
+    return out
 
 
 def normal_subgroups(G):
@@ -142,14 +127,12 @@ def normal_subgroups(G):
     cap = config.element_cap()
     if G.order > cap:
         raise CapacityError(f"order {G.order} exceeds the element cap {cap}")
-    if G._normal_cache is None:
-        mem = normal_member_sets(G, tuple(range(G.order)))
-        G._normal_cache = mem
-    return SubgroupSet(G, [Subgroup(G, m) for m in G._normal_cache])
+    mem = normal_member_sets(G, tuple(range(G.order)))
+    return SubgroupSet(G, [Subgroup(G, m) for m in mem])
 
 
 def _maximal_among(member_sets, full_size):
-    proper = [(m, _mask_of(m)) for m in member_sets if len(m) < full_size]
+    proper = [(m, mask_of(m)) for m in member_sets if len(m) < full_size]
     out = []
     for mem, mask in proper:
         if any(
@@ -216,7 +199,7 @@ def _maximal_normal_member_sets(G, members, with_masks):
         normals = normal_member_sets(G, members)
         out = _maximal_among(normals, m)
     if with_masks:
-        return [(mem, _mask_of(mem)) for mem in out]
+        return [(mem, mask_of(mem)) for mem in out]
     return out
 
 
@@ -301,7 +284,7 @@ def _abelian_maximal_member_sets(G, members, with_masks=False):
                         if sum(ci * fi for ci, fi in zip(c, phi)) % p == 0
                     )
                     if with_masks:
-                        out.append((sub, _mask_of(sub)))
+                        out.append((sub, mask_of(sub)))
                     else:
                         out.append(sub)
     return out

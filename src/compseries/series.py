@@ -62,13 +62,6 @@ def _check_cap(G):
         raise CapacityError(f"order {G.order} exceeds the element cap {cap}")
 
 
-def _mask_of(members):
-    m = 0
-    for x in members:
-        m |= 1 << x
-    return m
-
-
 def count_series(G):
     """Exact number of distinct composition series of G (brute-force oracle)."""
     _check_cap(G)
@@ -92,7 +85,7 @@ def count_series(G):
         memo[mask] = total
         return total
 
-    value = c(full, _mask_of(full))
+    value = c(full, group_core.mask_of(full))
     G._series_count = value
     return SeriesCount(value, "brute-force")
 

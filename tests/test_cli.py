@@ -5,11 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import compseries
-from compseries import cli, series
+from compseries import bounds, cli, formulas, series
 
 try:
     import tomllib
@@ -207,6 +208,29 @@ def test_bound_command(capsys):
 def test_bound_rejects_small_n(capsys):
     code, _, _ = run(capsys, "bound", "3")
     assert code == 1
+
+
+def test_huge_count_is_emitted_in_full(capsys):
+    # 6,051 digits, past the 4,300 that str() of an int allows by default
+    value = formulas.count_elem_abelian(2, 200)
+    code, rep, _ = run_json(capsys, "count", "--group", "E(2,200)")
+    text = rep["result"]["count"]
+    assert code == 0 and text.isdigit() and len(text) > 4300
+    assert Decimal(text) == value
+
+
+def test_bound_at_the_cap_is_emitted_in_full(capsys):
+    n = 2**1025 - 1  # floor(log2 n) = 1024, the cap
+    code, rep, _ = run_json(capsys, "bound", str(n))
+    text = rep["result"]["bound"]
+    assert code == 0 and text.isdigit()
+    assert Decimal(text) == bounds.bound(n)
+
+
+def test_bound_above_the_cap_exits_4(capsys):
+    code, out, err = run(capsys, "bound", str(2**1025))
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sweep_command(capsys):

@@ -1,5 +1,7 @@
 """Group table construction, closure, normality, quotients, conjugacy."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,37 @@ def test_generated_is_idempotent():
     G = s4_table()
     for H in all_subgroups(G):
         assert close_members(G, H.members) == H.members
+
+
+def _pairwise_closure(G, seed):
+    """Reference closure: multiply all pairs until the member set is stable."""
+    cur = np.unique(np.array([0, *seed], dtype=np.intp))
+    while True:
+        new = np.unique(G.mult[np.ix_(cur, cur)])
+        if new.size == cur.size:
+            return tuple(int(x) for x in new)
+        cur = new
+
+
+# S4 and D12xQ8 lie below group_core._SMALL_N (python rows), A5xS4 above it (numpy).
+@pytest.mark.parametrize("text", ["S4", "D12xQ8", "A5xS4"])
+def test_close_members_matches_pairwise_closure(text, realized):
+    G = realized(text)
+    rng = random.Random(G.order)
+    seeds = [[rng.randrange(G.order) for _ in range(k)] for k in (1, 1, 2, 2, 3, 3)]
+    # larger random sets, which are not subgroups, with repeats and the identity
+    seeds += [rng.choices(range(G.order), k=G.order // 8) + [0] for _ in range(3)]
+    for seed in seeds:
+        assert close_members(G, seed) == _pairwise_closure(G, seed), seed
+    assert close_members(G, []) == (0,)
+
+
+@pytest.mark.parametrize("text", ["D12xQ8", "A5xS4"])
+def test_close_members_rejects_out_of_range_seed(text, realized):
+    G = realized(text)
+    for bad in (G.order, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            close_members(G, [1, bad])
 
 
 def test_subgroup_rejects_unclosed_set():

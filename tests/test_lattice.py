@@ -7,13 +7,14 @@ from compseries import (
     DomainError,
     all_subgroups,
     is_normal,
+    lattice,
     maximal_normal_subgroups,
     maximal_subgroups_count,
     normal_subgroups,
 )
 from compseries.catalog import realize_text
+from compseries.group_core import mask_of
 from compseries.lattice import (
-    _mask_of,
     _maximal_among,
     maximal_normal_member_sets,
     normal_member_sets,
@@ -89,6 +90,22 @@ def test_normal_subgroups_respects_element_cap(monkeypatch):
 # maximal_normal_subgroups
 
 
+def test_maximal_normals_reuse_the_normal_lattice(monkeypatch):
+    G = realize_text("A5xA5")  # a fresh table: nothing cached on it yet
+    full_lattices = []
+    real = lattice.classes_of_members
+
+    def counting(H, members):  # the first step of building a normal lattice
+        if len(members) == H.order:
+            full_lattices.append(H)
+        return real(H, members)
+
+    monkeypatch.setattr(lattice, "classes_of_members", counting)
+    assert len(normal_subgroups(G)) == 4
+    assert maximal_normal_subgroups(G).orders() == [60, 60]
+    assert full_lattices == [G]
+
+
 def test_z12_maximal_normals():
     subs = maximal_normal_subgroups(realize_text("Z12"))
     assert subs.orders() == [4, 6]
@@ -124,9 +141,9 @@ def test_fast_maximal_path_matches_lattice_filter():
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
         full = tuple(range(G.order))
-        fast = {_mask_of(m) for m in maximal_normal_member_sets(G, full)}
+        fast = {mask_of(m) for m in maximal_normal_member_sets(G, full)}
         slow = {
-            _mask_of(m)
+            mask_of(m)
             for m in _maximal_among(normal_member_sets(G, full), G.order)
         }
         assert fast == slow, text
@@ -138,9 +155,9 @@ def test_maximal_member_sets_of_proper_subgroups():
     for H in all_subgroups(G):
         if H.order == 1:
             continue
-        fast = {_mask_of(m) for m in maximal_normal_member_sets(G, H.members)}
+        fast = {mask_of(m) for m in maximal_normal_member_sets(G, H.members)}
         slow = {
-            _mask_of(m)
+            mask_of(m)
             for m in _maximal_among(normal_member_sets(G, H.members), H.order)
         }
         assert fast == slow, H.members
@@ -152,7 +169,7 @@ def test_with_masks_variant_is_consistent():
     plain = maximal_normal_member_sets(G, full)
     pairs = maximal_normal_member_sets(G, full, with_masks=True)
     assert {m for m, _ in pairs} == set(plain)
-    assert all(_mask_of(m) == mask for m, mask in pairs)
+    assert all(mask_of(m) == mask for m, mask in pairs)
 
 
 # ---------------------------------------------------------------------------
