@@ -15,8 +15,9 @@ import numpy as np
 from . import config
 from .errors import CapacityError, DomainError
 
-# Below this order we run python loops over list-of-list rows; above it we stay
-# in numpy (materializing 3600x3600 python ints would cost hundreds of MB).
+# Up to this order ``GroupTable.rows()`` holds python lists, the fastest to
+# index; above it, memoryviews of the numpy rows (python ints for a 3600x3600
+# table would cost hundreds of MB).
 _SMALL_N = 1024
 
 
@@ -81,13 +82,16 @@ class GroupTable:
                 raise DomainError("associativity fails on sampled triples")
 
     def rows(self):
-        """Table as list-of-lists for fast scalar loops (small orders only)."""
+        """Table rows for scalar loops: ``rows()[a][b]`` is the index of a*b.
+
+        Python lists up to ``_SMALL_N``, zero-copy memoryviews of the numpy
+        rows above it.
+        """
         if self._rows is None:
-            if self.order > _SMALL_N:
-                raise CapacityError(
-                    f"python row materialization refused for order {self.order} > {_SMALL_N}"
-                )
-            self._rows = self.mult.tolist()
+            if self.order <= _SMALL_N:
+                self._rows = self.mult.tolist()
+            else:
+                self._rows = [memoryview(r) for r in self.mult]
         return self._rows
 
     def inv_list(self):
@@ -128,22 +132,8 @@ class Subgroup:
 
     def _check_closed(self):
         mem = self.members
-        m = len(mem)
-        if m == self.parent.order:
-            return
-        if self.parent.order <= _SMALL_N and m * m <= 1 << 16:
-            rows = self.parent.rows()
-            mask = self.mask
-            for a in mem:
-                ra = rows[a]
-                for b in mem:
-                    if not (mask >> ra[b]) & 1:
-                        raise DomainError(f"subgroup not closed: {a}*{b} escapes")
-        else:
-            arr = np.fromiter(mem, dtype=self.parent.mult.dtype)
-            prods = self.parent.mult[np.ix_(arr, arr)]
-            if not np.isin(prods, arr).all():
-                raise DomainError("subgroup not closed under multiplication")
+        if len(mem) < self.parent.order and close_members(self.parent, mem) != mem:
+            raise DomainError("subgroup not closed under multiplication")
 
     @cached_property
     def mask(self):
@@ -188,10 +178,10 @@ def close_members(G, seed):
 
 
 def _dimino_close(G, seed):
-    """Closure of ``seed`` as (members in discovery order, generators).
+    """Closure of ``seed`` as (members in discovery order, flags, generators).
 
-    Each seed element not yet in the closure extends it (``dimino_extend``)
-    and becomes a generator, so the generators are a greedy generating set.
+    ``flags`` has one byte per element of G, set for the members; the
+    generators are a greedy generating set (see ``extend_members``).
     """
     seed = [int(x) for x in seed]
     for x in seed:
@@ -201,11 +191,20 @@ def _dimino_close(G, seed):
     flags = bytearray(G.order)
     flags[0] = 1
     gens = []
+    extend_members(G, members, flags, gens, seed)
+    return members, flags, gens
+
+
+def extend_members(G, members, flags, gens, seed):
+    """Extend the subgroup ``members``, generated by ``gens``, to <members, seed>.
+
+    Each seed element not yet a member extends the subgroup (``dimino_extend``)
+    and is appended to ``gens``; all three lists are updated in place.
+    """
     for g in seed:
         if not flags[g]:
             dimino_extend(G, members, flags, gens, g)
             gens.append(g)
-    return members, gens
 
 
 def dimino_extend(G, members, flags, gens, g):
@@ -215,35 +214,21 @@ def dimino_extend(G, members, flags, gens, g):
     ``flags`` (one byte per element of G), by whole right cosets S*t with
     t = r*h for a coset representative r and a generator h: |<S, g>| products
     plus index * #gens lookups, not |<S, g>|^2 (Holt, Eick & O'Brien, Handbook
-    of Computational Group Theory, 2005).  Up to ``_SMALL_N`` the cosets are
-    read from ``G.rows()``, faster there than numpy; above it, one gather each.
+    of Computational Group Theory, 2005).
     """
     allgens = (*gens, g)
     reps = [0]
-    if G.order <= _SMALL_N:
-        rows = G.rows()
-        sub_rows = [rows[s] for s in members]
-        for r in reps:  # reps grows while it is walked
-            row = rows[r]
-            for h in allgens:
-                t = row[h]
-                if not flags[t]:
-                    coset = [sr[t] for sr in sub_rows]
-                    for e in coset:
-                        flags[e] = 1
-                    members += coset
-                    reps.append(t)
-        return
-    mult = G.mult
-    sub = np.array(members, dtype=np.intp)
-    marks = np.frombuffer(flags, dtype=np.uint8)  # a view: writes land in flags
-    for r in reps:
+    rows = G.rows()
+    sub_rows = [rows[s] for s in members]
+    for r in reps:  # reps grows while it is walked
+        row = rows[r]
         for h in allgens:
-            t = int(mult[r, h])
+            t = row[h]
             if not flags[t]:
-                coset = mult[sub, t]
-                marks[coset] = 1
-                members += coset.tolist()
+                coset = [sr[t] for sr in sub_rows]
+                for e in coset:
+                    flags[e] = 1
+                members += coset
                 reps.append(t)
 
 
@@ -301,49 +286,28 @@ def build_from_generators(n_points, generators, cap=None, labels=False):
 
 
 def is_normal(G, H):
-    """True iff g h g^-1 lies in H for all g in G, h in H.
-
-    Conjugating a generating set of H by every g suffices.
-    """
+    """True iff g h g^-1 lies in H for all g in G, h in H."""
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
-    if H.order in (1, G.order):
-        return True
     if G.is_abelian:
         return True
-    _, gens = _dimino_close(G, H.members)
-    mult, inv = G.mult, G.inv
-    member_flags = np.zeros(G.order, dtype=bool)
-    member_flags[list(H.members)] = True
-    for h in gens:
-        conj = mult[mult[:, h], inv]
-        if not member_flags[conj].all():
-            return False
-    return True
+    return _members_normal_in(G, H.members, range(G.order))
 
 
 def _members_normal_in(G, inner, outer):
-    """Is the subgroup ``inner`` normal inside the subgroup ``outer`` (raw tuples)?"""
-    inner_set = set(inner)
+    """Is the subgroup ``inner`` normal inside the subgroup ``outer`` (raw tuples)?
+
+    Conjugating the generators of ``inner`` by those of ``outer`` suffices.
+    """
     if len(inner) in (1, len(outer)):
         return True
-    _, gens = _dimino_close(G, inner)
-    if G.order <= _SMALL_N:
-        rows, inv = G.rows(), G.inv_list()
-        for g in outer:
-            rg = rows[g]
-            ig = inv[g]
-            for h in gens:
-                if rows[rg[h]][ig] not in inner_set:
-                    return False
-        return True
-    mult, inv = G.mult, G.inv
-    out = np.fromiter(outer, dtype=mult.dtype)
-    inn = np.fromiter(inner, dtype=mult.dtype)
-    for h in gens:
-        conj = mult[mult[out, h], inv[out]]
-        if not np.isin(conj, inn).all():
-            return False
+    _, flags, gens = _dimino_close(G, inner)
+    rows, inv = G.rows(), G.inv_list()
+    for g in _dimino_close(G, outer)[2]:
+        rg, ig = rows[g], inv[g]
+        for h in gens:
+            if not flags[rows[rg[h]][ig]]:
+                return False
     return True
 
 
@@ -353,83 +317,58 @@ def conjugacy_classes(G):
 
 
 def classes_of_members(G, members):
-    """Conjugacy classes of the subgroup ``members`` under its own conjugation."""
-    n = G.order
-    m = len(members)
-    if m == n and n > _SMALL_N:
-        mult, inv = G.mult, G.inv
-        seen = np.zeros(n, dtype=bool)
-        out = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            cls = np.unique(mult[mult[:, x], inv])
-            seen[cls] = True
-            out.append(tuple(int(v) for v in cls))
-        return out
-    rows = G.rows() if n <= _SMALL_N else None
-    if rows is not None:
-        inv = G.inv_list()
-        seen = set()
-        out = []
-        for x in members:
-            if x in seen:
-                continue
-            cls = {rows[rows[g][x]][inv[g]] for g in members}
-            seen |= cls
-            out.append(tuple(sorted(cls)))
-        return out
-    mult, inv = G.mult, G.inv
-    arr = np.fromiter(members, dtype=mult.dtype)
-    seen = set()
+    """Conjugacy classes of the subgroup ``members`` under its own conjugation.
+
+    Each class is the orbit of an element under conjugation by the
+    generators; classes come in the order of their first element in ``members``.
+    """
+    rows, inv = G.rows(), G.inv_list()
+    conj = [(rows[g], inv[g]) for g in _dimino_close(G, members)[2]]
+    seen = bytearray(G.order)
     out = []
     for x in members:
-        if x in seen:
+        if seen[x]:
             continue
-        cls = np.unique(mult[mult[arr, x], inv[arr]])
-        cls = tuple(int(v) for v in cls)
-        seen.update(cls)
-        out.append(cls)
+        seen[x] = 1
+        cls = [x]
+        for y in cls:  # cls grows while it is walked
+            for rg, ig in conj:
+                z = rows[rg[y]][ig]
+                if not seen[z]:
+                    seen[z] = 1
+                    cls.append(z)
+        out.append(tuple(sorted(cls)))
     return out
 
 
 def derived_members(G, members):
-    """Commutator subgroup of the subgroup ``members``, as a member tuple."""
-    m = len(members)
-    if m <= 2:
+    """Commutator subgroup of the subgroup ``members``, as a member tuple.
+
+    It is the normal closure in ``members`` of the commutators of its
+    generators.
+    """
+    if len(members) <= 2:
         return (0,)
-    if G.order <= _SMALL_N and m * m <= 1 << 18:
-        rows, inv = G.rows(), G.inv_list()
-        comms = set()
-        for a in members:
-            ra = rows[a]
-            ia = inv[a]
-            for b in members:
-                comms.add(rows[rows[ra[b]][ia]][inv[b]])
-    else:
-        mult, inv = G.mult, G.inv
-        arr = np.fromiter(members, dtype=mult.dtype)
-        ab = mult[np.ix_(arr, arr)]
-        c = mult[mult[ab, inv[arr][:, None]], inv[arr][None, :]]
-        comms = set(int(v) for v in np.unique(c))
-    return close_members(G, comms)
+    rows, inv = G.rows(), G.inv_list()
+    hgens = _dimino_close(G, members)[2]
+    comms = [
+        rows[rows[rows[a][b]][inv[a]]][inv[b]]
+        for i, a in enumerate(hgens)
+        for b in hgens[:i]
+    ]
+    sub, flags, gens = _dimino_close(G, comms)
+    for k in gens:  # gens grows while it is walked
+        extend_members(G, sub, flags, gens, [rows[rows[g][k]][inv[g]] for g in hgens])
+    return tuple(sorted(sub))
 
 
 def is_abelian_members(G, members):
+    """True iff the subgroup ``members`` is abelian: its generators commute."""
     if G.is_abelian:
         return True
-    m = len(members)
-    if G.order <= _SMALL_N and m * m <= 1 << 18:
-        rows = G.rows()
-        for i, a in enumerate(members):
-            ra = rows[a]
-            for b in members[i + 1:]:
-                if ra[b] != rows[b][a]:
-                    return False
-        return True
-    arr = np.fromiter(members, dtype=G.mult.dtype)
-    sub = G.mult[np.ix_(arr, arr)]
-    return bool(np.array_equal(sub, sub.T))
+    rows = G.rows()
+    gens = _dimino_close(G, members)[2]
+    return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
 
 def is_solvable_members(G, members):
@@ -455,44 +394,22 @@ def coset_quotient(G, n_members, h_members, check=True):
     parent elements of coset i.  Cosets are ordered by smallest member, which
     puts the identity coset at index 0.
     """
-    n_set = frozenset(n_members)
-    m = len(h_members)
-    k = len(n_members)
-    if G.order <= _SMALL_N:
-        rows = G.rows()
-        key = {}
-        for x in h_members:
+    rows = G.rows()
+    coset_index = {}
+    reps = []
+    for x in sorted(h_members):  # x is the smallest member of a new coset
+        if x not in coset_index:
             rx = rows[x]
-            key[x] = min(rx[t] for t in n_members)
-    else:
-        mult = G.mult
-        harr = np.fromiter(h_members, dtype=mult.dtype)
-        narr = np.fromiter(n_members, dtype=mult.dtype)
-        mins = mult[np.ix_(harr, narr)].min(axis=1)
-        key = {int(x): int(v) for x, v in zip(h_members, mins)}
-    reps = sorted(set(key.values()))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    coset_index = {x: rep_index[key[x]] for x in h_members}
+            for t in n_members:
+                coset_index[rx[t]] = len(reps)
+            reps.append(x)
+    m = len(h_members)
+    if len(coset_index) != m or len(reps) * len(n_members) != m:
+        raise DomainError("coset space has inconsistent size; is N normal in H?")
     coset_members = [[] for _ in reps]
     for x in h_members:
         coset_members[coset_index[x]].append(x)
-    q = len(reps)
-    if q * k != m:
-        raise DomainError("coset space has inconsistent size; is N normal in H?")
-    qmult = np.empty((q, q), dtype=np.int32)
-    if G.order <= _SMALL_N:
-        rows = G.rows()
-        for i, a in enumerate(reps):
-            ra = rows[a]
-            qmult[i] = [coset_index[ra[b]] for b in reps]
-    else:
-        mult = G.mult
-        rarr = np.fromiter(reps, dtype=mult.dtype)
-        prods = mult[np.ix_(rarr, rarr)]
-        lut = np.full(G.order, -1, dtype=np.int32)
-        for x, ci in coset_index.items():
-            lut[x] = ci
-        qmult = lut[prods]
+    qmult = [[coset_index[rows[a][b]] for b in reps] for a in reps]
     table = GroupTable(qmult, check=check)
     return table, coset_index, [tuple(c) for c in coset_members]
 
@@ -526,22 +443,12 @@ def is_simple(G):
 
 def element_power(G, x, e):
     """x**e by repeated squaring on the table."""
-    if G.order <= _SMALL_N:
-        rows = G.rows()
-        acc = 0
-        base = x
-        while e:
-            if e & 1:
-                acc = rows[acc][base]
-            base = rows[base][base]
-            e >>= 1
-        return acc
+    rows = G.rows()
     acc = 0
     base = x
-    mult = G.mult
     while e:
         if e & 1:
-            acc = int(mult[acc, base])
-        base = int(mult[base, base])
+            acc = rows[acc][base]
+        base = rows[base][base]
         e >>= 1
     return acc

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import numpy as np
-
 from . import config, group_core
 from .errors import CapacityError, DomainError
 from .group_core import (
@@ -32,12 +30,12 @@ from .group_core import (
     classes_of_members,
     derived_members,
     dimino_extend,
+    extend_members,
     is_abelian_members,
     is_solvable_members,
     coset_quotient,
     element_power,
     mask_of,
-    _SMALL_N,
 )
 
 
@@ -105,17 +103,21 @@ def normal_member_sets(G, members):
         mem = close_members(G, cls)
         atoms.setdefault(mask_of(mem), mem)
     normals = {1: (0,)}
-    frontier = [((0,), 1)]
+    trivial = bytearray(G.order)
+    trivial[0] = 1
+    frontier = [([0], trivial, [], 1)]
     while frontier:
-        nmem, nmask = frontier.pop()
+        nmem, nflags, ngens, nmask = frontier.pop()
         for amask, amem in atoms.items():
             if amask | nmask == nmask:
                 continue
-            join = close_members(G, set(nmem) | set(amem))
+            # the join <N, A>: extend N, already a subgroup, by A's elements
+            join, jflags, jgens = list(nmem), bytearray(nflags), list(ngens)
+            extend_members(G, join, jflags, jgens, amem)
             jmask = mask_of(join)
             if jmask not in normals:
-                normals[jmask] = join
-                frontier.append((join, jmask))
+                normals[jmask] = tuple(sorted(join))
+                frontier.append((join, jflags, jgens, jmask))
     out = sorted(normals.values(), key=lambda t: (len(t), t))
     if whole:
         G._normal_cache = out
@@ -132,15 +134,18 @@ def normal_subgroups(G):
 
 
 def _maximal_among(member_sets, full_size):
-    proper = [(m, mask_of(m)) for m in member_sets if len(m) < full_size]
-    out = []
-    for mem, mask in proper:
-        if any(
-            mask != omask and mask | omask == omask for _, omask in proper
-        ):
-            continue
-        out.append(mem)
-    return sorted(out, key=lambda t: (len(t), t))
+    """The proper sets among distinct subgroup ``member_sets`` that no other contains.
+
+    Largest first, each set is tested only against the maximal sets kept so
+    far: a set under any larger proper set is under a maximal one, kept earlier.
+    """
+    proper = sorted((m for m in member_sets if len(m) < full_size), key=len, reverse=True)
+    kept = []
+    for mem in proper:
+        mask = mask_of(mem)
+        if not any(mask | kmask == kmask for _, kmask in kept):
+            kept.append((mem, mask))
+    return sorted((mem for mem, _ in kept), key=lambda t: (len(t), t))
 
 
 def maximal_normal_subgroups(G):
@@ -176,7 +181,7 @@ def maximal_normal_member_sets(G, members, with_masks=False):
 
 
 def _bit_table(G):
-    if getattr(G, "_bits", None) is None:
+    if G._bits is None:
         G._bits = [1 << x for x in range(G.order)]
     return G._bits
 
@@ -226,33 +231,18 @@ def _abelian_maximal_member_sets(G, members, with_masks=False):
     m = len(members)
     out = []
     bits = _bit_table(G) if with_masks else None
-    small = G.order <= _SMALL_N
-    rows = G.rows() if small else None
+    rows = G.rows()
     for p in _prime_factors(m):
         # p-th powers form a subgroup of abelian H (image of x -> x^p)
-        if p == 2 and small:
+        if p == 2:
             powers = sorted({rows[x][x] for x in members})
-        elif small:
-            powers = sorted({element_power(G, x, p) for x in members})
         else:
-            arr = np.fromiter(members, dtype=G.mult.dtype)
-            acc = arr.copy()
-            for _ in range(p - 1):
-                acc = G.mult[acc, arr]
-            powers = sorted(int(v) for v in np.unique(acc))
-        k = len(powers)
-        if k == 1:
+            powers = sorted({element_power(G, x, p) for x in members})
+        if len(powers) == 1:
             coset_of = {x: x for x in members}
             reps = list(members)
         else:
-            if small:
-                parr = powers
-                coset_of = {x: min(rows[x][t] for t in parr) for x in members}
-            else:
-                harr = np.fromiter(members, dtype=G.mult.dtype)
-                parr = np.fromiter(powers, dtype=G.mult.dtype)
-                mins = G.mult[np.ix_(harr, parr)].min(axis=1)
-                coset_of = {int(x): int(v) for x, v in zip(members, mins)}
+            coset_of = {x: min(rows[x][t] for t in powers) for x in members}
             reps = sorted(set(coset_of.values()))
         d_rank, coords = _elem_abelian_coords(G, reps, coset_of, p)
         mz = [(x, coords[coset_of[x]]) for x in members]
@@ -298,13 +288,10 @@ def _elem_abelian_coords(G, reps, coset_of, p):
     are picked greedily in rep order, so the assignment is deterministic.
     """
     q = len(reps)
-    small = G.order <= _SMALL_N
-    rows = G.rows() if small else None
-    mult = G.mult
+    rows = G.rows()
 
     def qmul(a, b):
-        ab = rows[a][b] if small else int(mult[a, b])
-        return coset_of[ab]
+        return coset_of[rows[a][b]]
 
     if p == 2:
         coords = {0: 0}

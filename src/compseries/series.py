@@ -65,7 +65,7 @@ def _check_cap(G):
 def count_series(G):
     """Exact number of distinct composition series of G (brute-force oracle)."""
     _check_cap(G)
-    if getattr(G, "_series_count", None) is not None:
+    if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
     memo = {}
     full = tuple(range(G.order))

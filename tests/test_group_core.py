@@ -20,7 +20,16 @@ from compseries import (
     quotient,
 )
 from compseries.catalog import realize_text
-from compseries.group_core import close_members, element_power
+from compseries.config import SUBGROUP_ENUM_CAP
+from compseries.group_core import (
+    _members_normal_in,
+    classes_of_members,
+    close_members,
+    coset_quotient,
+    derived_members,
+    element_power,
+    is_abelian_members,
+)
 from compseries.lattice import all_subgroups
 
 
@@ -141,7 +150,8 @@ def _pairwise_closure(G, seed):
         cur = new
 
 
-# S4 and D12xQ8 lie below group_core._SMALL_N (python rows), A5xS4 above it (numpy).
+# S4 and D12xQ8 lie below group_core._SMALL_N (list rows), A5xS4 above it
+# (memoryview rows).
 @pytest.mark.parametrize("text", ["S4", "D12xQ8", "A5xS4"])
 def test_close_members_matches_pairwise_closure(text, realized):
     G = realized(text)
@@ -160,6 +170,120 @@ def test_close_members_rejects_out_of_range_seed(text, realized):
     for bad in (G.order, -1):
         with pytest.raises(DomainError, match="out of range"):
             close_members(G, [1, bad])
+
+
+# ---------------------------------------------------------------------------
+# the generator-based primitives against O(m^2) definitions, on both kinds of
+# rows (list rows for S4 and D12xQ8, memoryview rows for A5xS4)
+
+
+def _ref_derived(G, mem):
+    """Closure of all m^2 commutators a b a^-1 b^-1."""
+    a = np.array(mem)
+    ab = G.mult[np.ix_(a, a)]
+    comms = G.mult[G.mult[ab, G.inv[a][:, None]], G.inv[a][None, :]]
+    return _pairwise_closure(G, np.unique(comms))
+
+
+def _ref_classes(G, mem):
+    """Classes by conjugating each element by every member."""
+    a = np.array(mem)
+    seen, out = set(), []
+    for x in mem:
+        if x not in seen:
+            cls = tuple(int(v) for v in np.unique(G.mult[G.mult[a, x], G.inv[a]]))
+            seen.update(cls)
+            out.append(cls)
+    return out
+
+
+def _ref_is_abelian(G, mem):
+    """All pairs commute."""
+    a = np.array(mem)
+    sub = G.mult[np.ix_(a, a)]
+    return bool(np.array_equal(sub, sub.T))
+
+
+def _ref_normal_in(G, inner, outer):
+    """Every g h g^-1, g in outer and h in inner, lies in inner."""
+    o, i = np.array(outer), np.array(inner)
+    conj = G.mult[G.mult[np.ix_(o, i)], G.inv[o][:, None]]
+    return bool(np.isin(conj, i).all())
+
+
+def _ref_coset_quotient(G, n_mem, h_mem):
+    """Cosets keyed on the least element x*t, t in N, of each left coset xN."""
+    h = np.array(h_mem)
+    key = G.mult[np.ix_(h, np.array(n_mem))].min(axis=1)
+    reps = np.unique(key)
+    index = np.full(G.order, -1)
+    index[h] = np.searchsorted(reps, key)
+    table = index[G.mult[np.ix_(reps, reps)]].tolist()
+    cosets = [tuple(h[index[h] == i].tolist()) for i in range(len(reps))]
+    return table, {x: int(index[x]) for x in h_mem}, cosets
+
+
+def _sample_subgroups(G):
+    """The subgroup lattice where it is small enough, closures of random seeds
+    and the derived subgroups of those closures."""
+    rng = random.Random(G.order)
+    seeds = [rng.sample(range(G.order), k) for k in (1,) * 8 + (2,) * 8 + (3,) * 2]
+    subs = {close_members(G, seed) for seed in seeds}
+    subs.update([_ref_derived(G, H) for H in subs])
+    if G.order <= SUBGROUP_ENUM_CAP:
+        subs.update(H.members for H in all_subgroups(G))
+    subs.add(tuple(range(G.order)))
+    return sorted(subs, key=lambda t: (len(t), t))
+
+
+@pytest.mark.parametrize("text", ["S4", "D12xQ8", "A5xS4"])
+def test_primitives_match_quadratic_definitions(text, realized):
+    G = realized(text)
+    subs = _sample_subgroups(G)
+    for H in subs:
+        assert derived_members(G, H) == _ref_derived(G, H), H
+        assert classes_of_members(G, H) == _ref_classes(G, H), H
+        assert is_abelian_members(G, H) == _ref_is_abelian(G, H), H
+    rng = random.Random(1)
+    outers = rng.sample(subs, min(len(subs), 12)) + [subs[-1]]
+    for outer in outers:
+        outer_set = set(outer)
+        for inner in subs:
+            if not outer_set.issuperset(inner):
+                continue
+            normal = _ref_normal_in(G, inner, outer)
+            assert _members_normal_in(G, inner, outer) == normal, (inner, outer)
+            if len(outer) == G.order:
+                assert is_normal(G, Subgroup(G, inner)) == normal, inner
+            if normal:
+                table, index, cosets = coset_quotient(G, inner, outer)
+                ref_table, ref_index, ref_cosets = _ref_coset_quotient(G, inner, outer)
+                assert table.mult.tolist() == ref_table
+                assert (index, cosets) == (ref_index, ref_cosets)
+
+
+def test_rows_beyond_small_order_match_the_table(realized):
+    G = realized("A5xA5")  # order 3600: memoryview rows
+    rows = G.rows()
+    rng = random.Random(3600)
+    for _ in range(2000):
+        a, b = rng.randrange(3600), rng.randrange(3600)
+        assert rows[a][b] == int(G.mult[a, b])
+
+
+def test_large_order_rejects_unclosed_set_and_non_normal_quotient(realized):
+    G = realized("A5xS4")  # order 1440
+    rng = random.Random(0)
+    while True:
+        x = rng.randrange(G.order)
+        H = close_members(G, [x])
+        if len(H) > 2 and not _ref_normal_in(G, H, range(G.order)):
+            break
+    outside = next(y for y in range(G.order) if y not in H)
+    with pytest.raises(DomainError, match="closed"):
+        Subgroup(G, H[:-1] + (outside,))  # same order, still holds the identity
+    with pytest.raises(DomainError, match="[Nn]ormal"):
+        quotient(G, Subgroup(G, H), Subgroup(G, tuple(range(G.order))))
 
 
 def test_subgroup_rejects_unclosed_set():
