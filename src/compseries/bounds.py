@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import compress
 from math import factorial, isqrt, prod
 
-import numpy as np
-
 from . import config
 from .errors import CapacityError, DomainError
 from .formulas import gaussian_hyperplanes, is_prime
@@ -203,31 +201,6 @@ class SweepResult:
         if self.per_order_attainers:
             obj["per_order_attainers"] = self.per_order_attainers
         return obj
-
-
-def spf_sieve(n):
-    """Smallest-prime-factor table 0..n (numpy, ~4 bytes per entry)."""
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for i in range(2, isqrt(n) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    return spf
-
-
-def factor_exponents(m, spf):
-    """[(p, a), ...] for m via the sieve, primes ascending."""
-    out = []
-    while m > 1:
-        p = int(spf[m])
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        out.append((p, a))
-    return out
 
 
 def primes_upto(n):

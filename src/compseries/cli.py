@@ -20,7 +20,7 @@ import time
 from decimal import Decimal
 
 from . import __version__, bounds, catalog, config, formulas, group_core, lattice, series
-from .errors import CapacityError, CompseriesError, DomainError, SpecParseError
+from .errors import CapacityError, DomainError, SpecParseError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -28,10 +28,6 @@ EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_CAPACITY = 4
 EXIT_VIOLATION = 5
-
-
-class CrossCheckMismatch(CompseriesError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +97,15 @@ def _load_group(args):
             gens = payload["generators"]
         except (TypeError, KeyError) as exc:
             raise SpecParseError(f"group file missing field: {exc}")
+        if not _is_int(points):
+            raise SpecParseError("group file field 'points' must be an integer")
+        if not (
+            isinstance(gens, list)
+            and all(isinstance(g, list) and all(map(_is_int, g)) for g in gens)
+        ):
+            raise SpecParseError(
+                "group file field 'generators' must be a list of lists of integers"
+            )
         G = group_core.build_from_generators(points, gens, cap=args.element_cap)
         source = "file-sha256:" + hashlib.sha256(data).hexdigest()
         return f"file:{args.group_file}", source, G, None
@@ -109,6 +114,11 @@ def _load_group(args):
     spec = catalog.parse_spec(args.group)
     name = catalog.print_spec(spec)
     return name, name, None, spec  # realized lazily; formula modes may not need it
+
+
+def _is_int(x):
+    """True for a JSON integer; JSON true and false load as bool, not int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _decimal(value):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from math import factorial, isqrt, prod
 
 from .errors import DomainError
+from .group_core import prime_exponents
 
 
 def is_prime(n):
@@ -59,19 +60,7 @@ def factorize(n):
     """Trial-division factorization; n = 1 gives the empty factorization."""
     if n < 1:
         raise DomainError("can only factorize positive integers")
-    pairs = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            pairs.append((d, a))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    return Factorization(tuple(prime_exponents(n)))
 
 
 def exact_div(a, b):

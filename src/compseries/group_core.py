@@ -30,7 +30,7 @@ class GroupTable:
     ``ASSOC_FULL_CHECK_CAP``, by random triples above that).
     """
 
-    def __init__(self, mult, labels=None, check=True):
+    def __init__(self, mult, labels=None):
         mult = np.asarray(mult)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise DomainError("multiplication table must be square")
@@ -52,8 +52,7 @@ class GroupTable:
         self._normal_cache = None
         self._series_count = None
         self._bits = None
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.order
@@ -386,7 +385,7 @@ def is_solvable_members(G, members):
 # quotients
 
 
-def coset_quotient(G, n_members, h_members, check=True):
+def coset_quotient(G, n_members, h_members):
     """Coset space H / N realized as a GroupTable.
 
     Returns (table, coset_index, coset_members) where ``coset_index`` maps a
@@ -410,7 +409,7 @@ def coset_quotient(G, n_members, h_members, check=True):
     for x in h_members:
         coset_members[coset_index[x]].append(x)
     qmult = [[coset_index[rows[a][b]] for b in reps] for a in reps]
-    table = GroupTable(qmult, check=check)
+    table = GroupTable(qmult)
     return table, coset_index, [tuple(c) for c in coset_members]
 
 
@@ -439,6 +438,23 @@ def is_simple(G):
     if n in (2, 3) or (n > 3 and all(n % d for d in range(2, int(n**0.5) + 1))):
         return True
     return len(normal_subgroups(G).items) == 2
+
+
+def prime_exponents(n):
+    """[(p, a), ...] with n = prod p**a, primes ascending, by trial division."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            a = 0
+            while n % d == 0:
+                n //= d
+                a += 1
+            pairs.append((d, a))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
 
 
 def element_power(G, x, e):

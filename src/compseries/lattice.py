@@ -9,11 +9,12 @@ Three distinct algorithms live here:
   Every normal subgroup is a join of class closures, so this terminates with
   the complete list without touching the full lattice.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
-  For a solvable subgroup every maximal normal subgroup has prime index, so
-  they are exactly the kernels of maps onto Z_p; those are enumerated as
-  hyperplanes of the elementary abelian quotient H / (H' * p-th powers).
-  Non-solvable subgroups fall back to the class-join lattice, which is tiny
-  for groups with no abelian bulk.
+  For a solvable subgroup H every maximal normal subgroup has prime index,
+  so they are exactly the kernels of maps onto Z_p: the hyperplanes of the
+  elementary abelian quotient H / (H' * H^p), whose cosets are read off the
+  parent's own table (H' is trivial when H is abelian).  Non-solvable
+  subgroups fall back to the class-join lattice, which is tiny for groups
+  with no abelian bulk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from . import config, group_core
+from . import config
 from .errors import CapacityError, DomainError
 from .group_core import (
     GroupTable,
@@ -33,9 +34,9 @@ from .group_core import (
     extend_members,
     is_abelian_members,
     is_solvable_members,
-    coset_quotient,
     element_power,
     mask_of,
+    prime_exponents,
 )
 
 
@@ -152,9 +153,9 @@ def maximal_normal_subgroups(G):
     """Proper normal subgroups maximal under inclusion among proper normals."""
     if G.order < 2:
         raise DomainError("the trivial group has no maximal normal subgroup")
-    return SubgroupSet(
-        G, [Subgroup(G, m) for m in maximal_normal_member_sets(G, tuple(range(G.order)))]
-    )
+    pairs = maximal_normal_member_sets(G, tuple(range(G.order)))
+    subs = [Subgroup(G, m) for m, _ in pairs]
+    return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
 
 
 def maximal_subgroups_count(G, cap=None):
@@ -168,16 +169,20 @@ def maximal_subgroups_count(G, cap=None):
 # maximal normal subgroups of a subgroup, the series recursion workhorse
 
 
-def maximal_normal_member_sets(G, members, with_masks=False):
-    """Maximal normal subgroups of the subgroup ``members`` as member tuples.
+def maximal_normal_member_sets(G, members):
+    """Maximal normal subgroups of the ascending subgroup ``members``.
 
-    ``with_masks=True`` returns (members, bit mask) pairs instead, computed in
-    the same pass; the series recursion is hot enough for that to matter.
+    Returns (members, bit mask) pairs in no particular order; the series
+    recursion is hot enough for the masks, built in the same pass, to matter.
     """
-    out = _maximal_normal_member_sets(G, members, with_masks)
-    if with_masks:
-        return out
-    return sorted(out, key=lambda t: (len(t), t))
+    if is_abelian_members(G, members):
+        return _prime_index_member_sets(G, members, (0,))
+    d = derived_members(G, members)
+    # H is solvable iff H' is
+    if is_solvable_members(G, d):
+        return _prime_index_member_sets(G, members, d)
+    out = _maximal_among(normal_member_sets(G, members), len(members))
+    return [(mem, mask_of(mem)) for mem in out]
 
 
 def _bit_table(G):
@@ -186,64 +191,34 @@ def _bit_table(G):
     return G._bits
 
 
-def _maximal_normal_member_sets(G, members, with_masks):
-    m = len(members)
-    if m == 1:
-        return []
-    if is_abelian_members(G, members):
-        return _abelian_maximal_member_sets(G, members, with_masks)
-    if is_solvable_members(G, members):
-        d = derived_members(G, members)
-        qtable, coset_index, _ = coset_quotient(G, d, members, check=False)
-        qmax = _abelian_maximal_member_sets(qtable, tuple(range(qtable.order)), False)
-        out = []
-        for qset in qmax:
-            keep = set(qset)
-            out.append(tuple(x for x in members if coset_index[x] in keep))
-    else:
-        normals = normal_member_sets(G, members)
-        out = _maximal_among(normals, m)
-    if with_masks:
-        return [(mem, mask_of(mem)) for mem in out]
-    return out
+def _prime_index_member_sets(G, members, d):
+    """Normal subgroups of prime index in the subgroup H = ``members``, with masks.
 
-
-def _prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _abelian_maximal_member_sets(G, members, with_masks=False):
-    """Index-p subgroups of an abelian subgroup, for each prime p of its order.
-
-    For abelian H every maximal subgroup is the kernel of a surjection onto
-    Z_p, i.e. a hyperplane of the elementary abelian quotient H / {x^p}.
+    ``d`` is a normal subgroup of H with H/d abelian: H', or the trivial
+    subgroup when H is abelian.  For each prime p of |H/d| the normal
+    subgroups of index p are the kernels of the maps onto Z_p, i.e. the
+    hyperplanes of the elementary abelian quotient H / K with K = d * H^p.
+    For solvable H these are all the maximal normal subgroups.  ``members``
+    is ascending, so that each coset of K is labelled by its least member.
     """
-    m = len(members)
-    out = []
-    bits = _bit_table(G) if with_masks else None
+    bits = _bit_table(G)
     rows = G.rows()
-    for p in _prime_factors(m):
-        # p-th powers form a subgroup of abelian H (image of x -> x^p)
+    out = []
+    for p, _ in prime_exponents(len(members) // len(d)):
         if p == 2:
-            powers = sorted({rows[x][x] for x in members})
+            powers = {rows[x][x] for x in members}
         else:
-            powers = sorted({element_power(G, x, p) for x in members})
-        if len(powers) == 1:
-            coset_of = {x: x for x in members}
-            reps = list(members)
-        else:
-            coset_of = {x: min(rows[x][t] for t in powers) for x in members}
-            reps = sorted(set(coset_of.values()))
+            powers = {element_power(G, x, p) for x in members}
+        # K = d when every p-th power is trivial, as in an elementary abelian H
+        kernel = d if len(powers) == 1 else close_members(G, (*d, *powers))
+        coset_of = {}
+        reps = []
+        for x in members:  # x is the least member of a new coset
+            if x not in coset_of:
+                rx = rows[x]
+                for t in kernel:
+                    coset_of[rx[t]] = x
+                reps.append(x)
         d_rank, coords = _elem_abelian_coords(G, reps, coset_of, p)
         mz = [(x, coords[coset_of[x]]) for x in members]
         if p == 2:
@@ -251,19 +226,15 @@ def _abelian_maximal_member_sets(G, members, with_masks=False):
             par = bytearray((0,))
             for _ in range(d_rank):
                 par.extend(b ^ 1 for b in par)
-            if with_masks:
-                for phi in range(1, 1 << d_rank):
-                    msk = 0
-                    mem = []
-                    app = mem.append
-                    for x, c in mz:
-                        if not par[c & phi]:
-                            app(x)
-                            msk |= bits[x]
-                    out.append((tuple(mem), msk))
-            else:
-                for phi in range(1, 1 << d_rank):
-                    out.append(tuple(x for x, c in mz if not par[c & phi]))
+            for phi in range(1, 1 << d_rank):
+                msk = 0
+                mem = []
+                app = mem.append
+                for x, c in mz:
+                    if not par[c & phi]:
+                        app(x)
+                        msk |= bits[x]
+                out.append((tuple(mem), msk))
         else:
             for lead in range(d_rank):
                 for rest in iproduct(range(p), repeat=d_rank - lead - 1):
@@ -273,10 +244,7 @@ def _abelian_maximal_member_sets(G, members, with_masks=False):
                         for x, c in mz
                         if sum(ci * fi for ci, fi in zip(c, phi)) % p == 0
                     )
-                    if with_masks:
-                        out.append((sub, mask_of(sub)))
-                    else:
-                        out.append(sub)
+                    out.append((sub, mask_of(sub)))
     return out
 
 

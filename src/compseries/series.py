@@ -3,7 +3,7 @@
 The count recursion is c(trivial) = 1 and c(H) = sum of c(M) over the maximal
 normal subgroups M of H, memoized by the member bit mask of H inside the
 top-level parent.  Enumeration runs the same recursion as a DFS with children
-visited in lexicographic member order, so output order is reproducible.
+visited in (order, members) order, so output order is reproducible.
 """
 
 from __future__ import annotations
@@ -67,51 +67,64 @@ def count_series(G):
     _check_cap(G)
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
-    memo = {}
     full = tuple(range(G.order))
-
-    def c(members, mask):
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        if len(members) == 1:
-            memo[mask] = 1
-            return 1
-        total = 0
-        for child, cmask in lattice.maximal_normal_member_sets(
-            G, members, with_masks=True
-        ):
-            total += c(child, cmask)
-        memo[mask] = total
-        return total
-
-    value = c(full, group_core.mask_of(full))
+    value = _count(G, full, group_core.mask_of(full), {})
     G._series_count = value
     return SeriesCount(value, "brute-force")
 
 
-def _chain_walk(G, members):
+def _count(G, members, mask, memo):
+    """c(H) for the subgroup ``members`` of bit mask ``mask``, memoized by mask.
+
+    A module-level function, not a closure over ``memo``, so that the memo is
+    freed as soon as the count returns.
+    """
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
     if len(members) == 1:
-        yield [members]
+        return 1
+    total = 0
+    for child, cmask in lattice.maximal_normal_member_sets(G, members):
+        total += _count(G, child, cmask, memo)
+    memo[mask] = total
+    return total
+
+
+def _chain_walk(G, top, interned):
+    """Chains up to the Subgroup ``top`` as lists of terms, trivial first.
+
+    Children are visited in (order, members) order.  ``interned`` maps the bit
+    mask of every term built so far to its Subgroup, so each is built once.
+    """
+    if top.order == 1:
+        yield [top]
         return
-    for child in lattice.maximal_normal_member_sets(G, members):
-        for prefix in _chain_walk(G, child):
-            prefix.append(members)
+    children = sorted(
+        lattice.maximal_normal_member_sets(G, top.members),
+        key=lambda c: (len(c[0]), c[0]),
+    )
+    for mem, mask in children:
+        child = interned.get(mask)
+        if child is None:
+            child = interned[mask] = Subgroup(G, mem)
+        for prefix in _chain_walk(G, child, interned):
+            prefix.append(top)
             yield prefix
 
 
 def enumerate_series(G, limit=None):
-    """All distinct composition series of G, or the first ``limit`` of them."""
+    """All distinct composition series of G, or the first ``limit`` of them.
+
+    Equal terms of different chains are one shared Subgroup object.
+    """
     _check_cap(G)
     if limit is not None and limit < 1:
         raise DomainError("limit must be a positive integer")
-    full = tuple(range(G.order))
-    walk = _chain_walk(G, full)
+    walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {})
     if limit is not None:
         walk = islice(walk, limit)
-    return [
-        CompositionChain(tuple(Subgroup(G, mem) for mem in raw)) for raw in walk
-    ]
+    return [CompositionChain(tuple(raw)) for raw in walk]
 
 
 def composition_factor_orders(chain):

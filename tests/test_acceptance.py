@@ -22,7 +22,7 @@ from compseries import (
     normal_subgroups,
     validate_chain,
 )
-from compseries.bounds import InequalityParams, check_induction_base, check_inequality_1, check_inequality_2, check_step4, ilog, lemma41_ratio_exceeds_one, spf_sieve, sweep_theorem_43
+from compseries.bounds import InequalityParams, check_induction_base, check_inequality_1, check_inequality_2, check_step4, ilog, lemma41_ratio_exceeds_one, primes_upto, sweep_theorem_43
 from compseries.catalog import realize_text
 from compseries.formulas import (
     Factorization,
@@ -163,10 +163,7 @@ def test_acceptance_7_inequality_grids():
     # inequality (1) over 4 <= n <= 10^5, all odd primes p <= n, via the exact
     # block reduction (RHS constant and LHS minimal at n = max(p^e, 4))
     limit = 10**5
-    spf = spf_sieve(limit)
-    for p in range(3, limit + 1, 2):
-        if spf[p] != p:
-            continue
+    for p in primes_upto(limit)[1:]:
         pe = p
         while pe <= limit:
             if not check_inequality_1(max(pe, 4), p):

@@ -22,10 +22,9 @@ from compseries import (
 from compseries import bounds as bounds_module
 from compseries.bounds import (
     check_inequality_4,
-    factor_exponents,
     factorial_ratio,
     ilog,
-    spf_sieve,
+    primes_upto,
     squarefree_cofactors,
     xy_ratio,
 )
@@ -139,9 +138,7 @@ def test_inequality_1_boundary_reduction_to_1e5():
     range exactly.
     """
     limit = 10**5
-    spf = spf_sieve(limit)
-    odd_primes = [p for p in range(3, limit + 1, 2) if spf[p] == p]
-    for p in odd_primes:
+    for p in primes_upto(limit)[1:]:
         e = 1
         pe = p
         while pe <= limit:
@@ -152,8 +149,7 @@ def test_inequality_1_boundary_reduction_to_1e5():
 
 def test_inequality_1_random_interior_sample():
     rng = random.Random(1234)
-    spf = spf_sieve(10**5)
-    odd_primes = [p for p in range(3, 10**5, 2) if spf[p] == p]
+    odd_primes = primes_upto(10**5)[1:]
     for _ in range(3000):
         n = rng.randint(4, 10**5)
         p = rng.choice([q for q in (3, 5, 7, 11, 13) if q <= n] or [3])
@@ -291,10 +287,9 @@ def reference_sweeps(limit, ns, bound=bound, candidate=count_abelian_elem_sylow)
 
     By default the candidate of m is the closed-form series count of the
     abelian group of order m with elementary abelian Sylow subgroups; m is
-    factored by the sieve.
+    factored by trial division.
     """
-    spf = spf_sieve(limit)
-    pairs = [None] * 4 + [tuple(factor_exponents(m, spf)) for m in range(4, limit + 1)]
+    pairs = [None] * 4 + [factorize(m).pairs for m in range(4, limit + 1)]
     cand = [None] * 4 + [candidate(Factorization(pairs[m])) for m in range(4, limit + 1)]
     per_order = [m for m in range(4, limit + 1) if cand[m] == bound(m)]
     for n in ns:
@@ -407,10 +402,3 @@ def test_sweep_preconditions():
     with pytest.raises(CapacityError):
         sweep_theorem_43(100, cap=50)
 
-
-def test_factor_exponents_matches_trial_division():
-    spf = spf_sieve(5000)
-    from compseries.formulas import factorize
-
-    for m in range(2, 5001):
-        assert tuple(factor_exponents(m, spf)) == factorize(m).pairs

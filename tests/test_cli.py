@@ -134,6 +134,25 @@ def test_group_file_missing_field_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"points": 3, "generators": 5},
+        {"points": "a", "generators": [[1, 2, 0]]},
+        {"points": 3, "generators": [["a", "b", "c"]]},
+        {"points": 3, "generators": [[0.5, 1, 2]]},
+        {"points": 3, "generators": [[True, False, 2]]},
+    ],
+    ids=["generators-int", "points-str", "entries-str", "entries-float", "entries-bool"],
+)
+def test_group_file_wrong_types_exit_2_with_one_line(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "count", "--group-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_non_integer_element_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "abc")
     code, out, err = run(capsys, "count", "--group", "Z12")

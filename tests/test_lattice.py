@@ -6,6 +6,7 @@ from compseries import (
     CapacityError,
     DomainError,
     all_subgroups,
+    build_from_generators,
     is_normal,
     lattice,
     maximal_normal_subgroups,
@@ -141,7 +142,7 @@ def test_fast_maximal_path_matches_lattice_filter():
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
         full = tuple(range(G.order))
-        fast = {mask_of(m) for m in maximal_normal_member_sets(G, full)}
+        fast = {mask for _, mask in maximal_normal_member_sets(G, full)}
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, full), G.order)
@@ -155,7 +156,7 @@ def test_maximal_member_sets_of_proper_subgroups():
     for H in all_subgroups(G):
         if H.order == 1:
             continue
-        fast = {mask_of(m) for m in maximal_normal_member_sets(G, H.members)}
+        fast = {mask for _, mask in maximal_normal_member_sets(G, H.members)}
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, H.members), H.order)
@@ -163,13 +164,52 @@ def test_maximal_member_sets_of_proper_subgroups():
         assert fast == slow, H.members
 
 
-def test_with_masks_variant_is_consistent():
-    G = realize_text("E(2,4)")
-    full = tuple(range(16))
-    plain = maximal_normal_member_sets(G, full)
-    pairs = maximal_normal_member_sets(G, full, with_masks=True)
-    assert {m for m, _ in pairs} == set(plain)
-    assert all(mask_of(m) == mask for m, mask in pairs)
+def _assert_route_matches_lattice(G, members, label):
+    """maximal_normal_member_sets vs the maximal proper normal subgroups."""
+    pairs = maximal_normal_member_sets(G, members)
+    assert all(mask == mask_of(mem) for mem, mask in pairs), label
+    got = sorted(mem for mem, _ in pairs)
+    assert len(set(got)) == len(got), label
+    ref = _maximal_among(normal_member_sets(G, members), len(members))
+    assert got == sorted(ref), label
+
+
+def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables):
+    """Every non-trivial subgroup of each non-abelian roster group of order <= 128."""
+    checked = 0
+    for name, _, G in roster_tables:
+        if G.order > 128 or G.is_abelian:
+            continue
+        for H in all_subgroups(G):
+            if H.order > 1:
+                _assert_route_matches_lattice(G, H.members, (name, H.members))
+                checked += 1
+    assert checked == 1614
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A5xS4", "S4xA5", "A5xA4", "E(2,2)xA5", "Z6xA5",
+        "D8xA5", "S4xS4", "Q8xS4", "A4xA4", "S5xZ3",
+    ],
+)
+def test_prime_index_route_on_whole_products(text):
+    G = realize_text(text)
+    _assert_route_matches_lattice(G, tuple(range(G.order)), text)
+
+
+def test_prime_index_route_needs_the_derived_subgroup():
+    """The Heisenberg group mod 3 has exponent 3, so H^3 is trivial and only
+    H' * H^3 = H' gives the elementary abelian quotient Z3^2."""
+    pt = [(a, b) for a in range(3) for b in range(3)]
+    x = [pt.index(((a + 1) % 3, b)) for a, b in pt]
+    y = [pt.index((a, (b + a) % 3)) for a, b in pt]
+    G = build_from_generators(9, [x, y])
+    assert G.order == 27
+    full = tuple(range(27))
+    _assert_route_matches_lattice(G, full, "Heisenberg(3)")
+    assert len(maximal_normal_member_sets(G, full)) == 4
 
 
 # ---------------------------------------------------------------------------

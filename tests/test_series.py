@@ -1,5 +1,6 @@
 """Composition-series counting, enumeration, and chain validation."""
 
+import gc
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from compseries import (
 )
 from compseries.catalog import realize_text
 from compseries.formulas import count_cyclic
+from compseries.lattice import _maximal_among, normal_member_sets
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,43 @@ def test_enumerate_length_equals_count():
         # chains are pairwise distinct
         keys = {tuple(t.members for t in ch.terms) for ch in chains}
         assert len(keys) == len(chains), text
+
+
+def _reference_chains(G, members):
+    """Chains up to ``members`` by a DFS over the normal lattice, children in
+    (order, members) order."""
+    if len(members) == 1:
+        return [[members]]
+    children = _maximal_among(normal_member_sets(G, members), len(members))
+    children.sort(key=lambda m: (len(m), m))
+    return [c + [members] for child in children for c in _reference_chains(G, child)]
+
+
+@pytest.mark.parametrize("text", ["S4", "D8xZ3"])
+def test_enumerate_order_is_the_sorted_dfs(text):
+    G = realize_text(text)
+    got = [[t.members for t in ch.terms] for ch in enumerate_series(G)]
+    assert got == _reference_chains(G, tuple(range(G.order)))
+
+
+def test_enumerate_shares_one_subgroup_per_term():
+    G = realize_text("E(2,4)")
+    by_members = {}
+    for ch in enumerate_series(G):
+        for t in ch.terms:
+            assert by_members.setdefault(t.members, t) is t
+    assert len(by_members) == 67  # every subspace of F_2^4
+
+
+def test_count_leaves_no_reference_cycles():
+    groups = [realize_text(t) for t in ("E(2,6)", "S4", "A5xS4")]
+    gc.collect()
+    gc.disable()
+    try:
+        assert [count_series(G).value for G in groups] == [615195, 3, 15]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chain_json_shape():
