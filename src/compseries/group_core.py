@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class GroupTable:
         self._inv_list = None
         self._normal_cache = None
         self._series_count = None
-        self._bits = None
         self._validate()
 
     def _validate(self):
@@ -169,6 +169,16 @@ def mask_of(members):
     for x in members:
         m |= 1 << x
     return m
+
+
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def members_of(mask):
+    """Ascending member tuple of the bit mask ``mask``: the inverse of ``mask_of``."""
+    # byte x of the reversed binary digits is bit x, as 0 or 1
+    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUE)
+    return tuple(compress(count(), bits))
 
 
 def close_members(G, seed):

@@ -14,7 +14,10 @@ Three distinct algorithms live here:
   elementary abelian quotient H / (H' * H^p), whose cosets are read off the
   parent's own table (H' is trivial when H is abelian).  Non-solvable
   subgroups fall back to the class-join lattice, which is tiny for groups
-  with no abelian bulk.
+  with no abelian bulk.  The subgroups come back as bit masks.  For p = 2
+  each hyperplane costs one big-int XOR: the members are sliced by the bits
+  of their coordinates once, and the maps onto Z_2 are walked in Gray-code
+  order, so consecutive kernels differ by one slice.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .group_core import (
     is_solvable_members,
     element_power,
     mask_of,
+    members_of,
     prime_exponents,
 )
 
@@ -153,8 +157,8 @@ def maximal_normal_subgroups(G):
     """Proper normal subgroups maximal under inclusion among proper normals."""
     if G.order < 2:
         raise DomainError("the trivial group has no maximal normal subgroup")
-    pairs = maximal_normal_member_sets(G, tuple(range(G.order)))
-    subs = [Subgroup(G, m) for m, _ in pairs]
+    masks = maximal_normal_member_sets(G, tuple(range(G.order)))
+    subs = [Subgroup(G, members_of(m)) for m in masks]
     return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
 
 
@@ -172,27 +176,23 @@ def maximal_subgroups_count(G, cap=None):
 def maximal_normal_member_sets(G, members):
     """Maximal normal subgroups of the ascending subgroup ``members``.
 
-    Returns (members, bit mask) pairs in no particular order; the series
-    recursion is hot enough for the masks, built in the same pass, to matter.
+    Returns one bit mask per subgroup, distinct and in no particular order;
+    ``members_of`` turns a mask back into its member tuple.  The series
+    recursion looks its children up by mask and builds members only for the
+    subgroups it has not seen.
     """
     if is_abelian_members(G, members):
-        return _prime_index_member_sets(G, members, (0,))
+        return _prime_index_masks(G, members, (0,))
     d = derived_members(G, members)
     # H is solvable iff H' is
     if is_solvable_members(G, d):
-        return _prime_index_member_sets(G, members, d)
+        return _prime_index_masks(G, members, d)
     out = _maximal_among(normal_member_sets(G, members), len(members))
-    return [(mem, mask_of(mem)) for mem in out]
+    return [mask_of(m) for m in out]
 
 
-def _bit_table(G):
-    if G._bits is None:
-        G._bits = [1 << x for x in range(G.order)]
-    return G._bits
-
-
-def _prime_index_member_sets(G, members, d):
-    """Normal subgroups of prime index in the subgroup H = ``members``, with masks.
+def _prime_index_masks(G, members, d):
+    """Bit masks of the normal subgroups of prime index in H = ``members``.
 
     ``d`` is a normal subgroup of H with H/d abelian: H', or the trivial
     subgroup when H is abelian.  For each prime p of |H/d| the normal
@@ -201,7 +201,6 @@ def _prime_index_member_sets(G, members, d):
     For solvable H these are all the maximal normal subgroups.  ``members``
     is ascending, so that each coset of K is labelled by its least member.
     """
-    bits = _bit_table(G)
     rows = G.rows()
     out = []
     for p, _ in prime_exponents(len(members) // len(d)):
@@ -220,31 +219,31 @@ def _prime_index_member_sets(G, members, d):
                     coset_of[rx[t]] = x
                 reps.append(x)
         d_rank, coords = _elem_abelian_coords(G, reps, coset_of, p)
-        mz = [(x, coords[coset_of[x]]) for x in members]
         if p == 2:
-            # parity-of-popcount lookup keeps the inner test to one index op
-            par = bytearray((0,))
-            for _ in range(d_rank):
-                par.extend(b ^ 1 for b in par)
-            for phi in range(1, 1 << d_rank):
-                msk = 0
-                mem = []
-                app = mem.append
-                for x, c in mz:
-                    if not par[c & phi]:
-                        app(x)
-                        msk |= bits[x]
-                out.append((tuple(mem), msk))
+            # bit slice j: the members whose coordinate has bit j set
+            slices = [0] * d_rank
+            for x in members:
+                bx = 1 << x
+                for j in coords[coset_of[x]]:
+                    slices[j] |= bx
+            # phi runs over F_2^d in Gray-code order, so step i flips the bit
+            # of i's lowest set bit; ker phi is H minus the members x with
+            # odd parity of c(x) & phi, the XOR of the slices phi selects
+            hmask = mask_of(members)
+            odd = 0
+            for i in range(1, 1 << d_rank):
+                odd ^= slices[(i & -i).bit_length() - 1]
+                out.append(hmask ^ odd)
         else:
+            mz = [(x, coords[coset_of[x]]) for x in members]
             for lead in range(d_rank):
                 for rest in iproduct(range(p), repeat=d_rank - lead - 1):
                     phi = (0,) * lead + (1,) + rest
-                    sub = tuple(
-                        x
-                        for x, c in mz
-                        if sum(ci * fi for ci, fi in zip(c, phi)) % p == 0
-                    )
-                    out.append((sub, mask_of(sub)))
+                    msk = 0
+                    for x, c in mz:
+                        if sum(ci * fi for ci, fi in zip(c, phi)) % p == 0:
+                            msk |= 1 << x
+                    out.append(msk)
     return out
 
 
@@ -252,7 +251,8 @@ def _elem_abelian_coords(G, reps, coset_of, p):
     """Coordinates of the elementary abelian quotient spanned by ``reps``.
 
     Returns (rank, coords) where coords maps each rep to its coordinate vector:
-    an int bit mask for p = 2, a tuple of residues otherwise.  Basis vectors
+    for p = 2 the ascending tuple of its non-zero positions, otherwise the
+    tuple of its residues.  Basis vectors
     are picked greedily in rep order, so the assignment is deterministic.
     """
     q = len(reps)
@@ -262,14 +262,13 @@ def _elem_abelian_coords(G, reps, coset_of, p):
         return coset_of[rows[a][b]]
 
     if p == 2:
-        coords = {0: 0}
+        coords = {0: ()}
         d = 0
         for g in reps:
             if g in coords:
                 continue
-            bit = 1 << d
             for r, c in list(coords.items()):
-                coords[qmul(r, g)] = c | bit
+                coords[qmul(r, g)] = c + (d,)
             d += 1
             if len(coords) == q:
                 break

@@ -2,8 +2,11 @@
 
 The count recursion is c(trivial) = 1 and c(H) = sum of c(M) over the maximal
 normal subgroups M of H, memoized by the member bit mask of H inside the
-top-level parent.  Enumeration runs the same recursion as a DFS with children
-visited in (order, members) order, so output order is reproducible.
+top-level parent.  The recursion is walked on masks: the maximal normal
+subgroups come back as masks, and the member tuple of a subgroup is built
+only on a memo miss.  Enumeration runs the same recursion as a DFS with
+children visited in (order, members) order, so output order is reproducible;
+it finds the children of each subgroup once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import islice
 
 from . import config, group_core, lattice
 from .errors import CapacityError, DomainError
-from .group_core import GroupTable, Subgroup
+from .group_core import Subgroup, members_of
 
 
 @dataclass(frozen=True)
@@ -67,48 +70,52 @@ def count_series(G):
     _check_cap(G)
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
-    full = tuple(range(G.order))
-    value = _count(G, full, group_core.mask_of(full), {})
+    # the memo starts with c(trivial) = 1; the trivial subgroup's mask is 1
+    value = _count(G, (1 << G.order) - 1, {1: 1})
     G._series_count = value
     return SeriesCount(value, "brute-force")
 
 
-def _count(G, members, mask, memo):
-    """c(H) for the subgroup ``members`` of bit mask ``mask``, memoized by mask.
+def _count(G, mask, memo):
+    """c(H) for the subgroup of bit mask ``mask``, memoized by mask.
 
-    A module-level function, not a closure over ``memo``, so that the memo is
-    freed as soon as the count returns.
+    H's members are built only on a memo miss.  A module-level function, not
+    a closure over ``memo``, so that the memo is freed as soon as the count
+    returns.
     """
     hit = memo.get(mask)
     if hit is not None:
         return hit
-    if len(members) == 1:
-        return 1
     total = 0
-    for child, cmask in lattice.maximal_normal_member_sets(G, members):
-        total += _count(G, child, cmask, memo)
+    for child in lattice.maximal_normal_member_sets(G, members_of(mask)):
+        total += _count(G, child, memo)
     memo[mask] = total
     return total
 
 
-def _chain_walk(G, top, interned):
+def _chain_walk(G, top, interned, children):
     """Chains up to the Subgroup ``top`` as lists of terms, trivial first.
 
     Children are visited in (order, members) order.  ``interned`` maps the bit
-    mask of every term built so far to its Subgroup, so each is built once.
+    mask of every term built so far to its Subgroup, so each is built once,
+    and ``children`` maps the mask of every term walked so far to its sorted
+    child Subgroups, so the maximal normal subgroups of each are found once.
     """
     if top.order == 1:
         yield [top]
         return
-    children = sorted(
-        lattice.maximal_normal_member_sets(G, top.members),
-        key=lambda c: (len(c[0]), c[0]),
-    )
-    for mem, mask in children:
-        child = interned.get(mask)
-        if child is None:
-            child = interned[mask] = Subgroup(G, mem)
-        for prefix in _chain_walk(G, child, interned):
+    kids = children.get(top.mask)
+    if kids is None:
+        kids = []
+        for mask in lattice.maximal_normal_member_sets(G, top.members):
+            child = interned.get(mask)
+            if child is None:
+                child = interned[mask] = Subgroup(G, members_of(mask))
+            kids.append(child)
+        kids.sort(key=lambda c: (c.order, c.members))
+        children[top.mask] = kids
+    for child in kids:
+        for prefix in _chain_walk(G, child, interned, children):
             prefix.append(top)
             yield prefix
 
@@ -121,7 +128,7 @@ def enumerate_series(G, limit=None):
     _check_cap(G)
     if limit is not None and limit < 1:
         raise DomainError("limit must be a positive integer")
-    walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {})
+    walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {}, {})
     if limit is not None:
         walk = islice(walk, limit)
     return [CompositionChain(tuple(raw)) for raw in walk]

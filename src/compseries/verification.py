@@ -36,21 +36,32 @@ def _realized(roster):
 
 
 def check_formula_oracle_agreement(order_cap=256):
-    """Brute series count vs the cyclic / elementary / abelian formulas."""
-    rows = []
+    """Brute series count vs the cyclic / elementary / abelian formulas.
+
+    Each Sylow type (p, partition) is counted on one table: the roster's own
+    p-group of that type when there is one, else a table realized once.
+    """
     roster = [
         (n, s) for n, s in catalog.standard_roster(order_cap) if catalog.is_abelian_spec(s)
     ]
-    for name, spec, G in _realized(roster):
+    groups = [
+        (name, spec, G, catalog.abelian_prime_partitions(spec))
+        for name, spec, G in _realized(roster)
+    ]
+    sylow = {}
+    for _, _, G, parts in groups:
+        if len(parts) == 1:
+            (key,) = parts.items()
+            sylow.setdefault(key, G)
+    rows = []
+    for name, spec, G, parts in groups:
         brute = series.count_series(G).value
-        parts = catalog.abelian_prime_partitions(spec)
-        fac = formulas.Factorization(
-            tuple((p, sum(es)) for p, es in parts.items())
-        ) if parts else formulas.Factorization(())
+        fac = formulas.Factorization(tuple((p, sum(es)) for p, es in parts.items()))
         sylow_counts = []
-        for p, es in parts.items():
-            syl = catalog.Abelian(((p, es),))
-            sylow_counts.append(series.count_series(catalog.realize(syl)).value)
+        for key in parts.items():
+            if key not in sylow:
+                sylow[key] = catalog.realize(catalog.Abelian((key,)))
+            sylow_counts.append(series.count_series(sylow[key]).value)
         expect = formulas.count_abelian(fac, sylow_counts) if parts else 1
         ok = brute == expect
         if ok and catalog.is_elem_sylow_spec(spec):

@@ -29,6 +29,8 @@ from compseries.group_core import (
     derived_members,
     element_power,
     is_abelian_members,
+    mask_of,
+    members_of,
 )
 from compseries.lattice import all_subgroups
 
@@ -162,6 +164,19 @@ def test_close_members_matches_pairwise_closure(text, realized):
     for seed in seeds:
         assert close_members(G, seed) == _pairwise_closure(G, seed), seed
     assert close_members(G, []) == (0,)
+
+
+def test_members_of_inverts_mask_of():
+    rng = random.Random(11)
+    assert members_of(0) == () and mask_of(()) == 0
+    # bits above 3,000 are those of A5xA5, the largest table the catalog builds
+    assert members_of(mask_of((0, 3001, 3599))) == (0, 3001, 3599)
+    for n in (1, 2, 64, 128, 1440, 3600):
+        for _ in range(10):
+            mem = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            assert members_of(mask_of(mem)) == mem
+            mask = rng.getrandbits(n)
+            assert mask_of(members_of(mask)) == mask
 
 
 @pytest.mark.parametrize("text", ["D12xQ8", "A5xS4"])

@@ -14,7 +14,7 @@ from compseries import (
     normal_subgroups,
 )
 from compseries.catalog import realize_text
-from compseries.group_core import mask_of
+from compseries.group_core import mask_of, members_of
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -142,7 +142,7 @@ def test_fast_maximal_path_matches_lattice_filter():
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
         full = tuple(range(G.order))
-        fast = {mask for _, mask in maximal_normal_member_sets(G, full)}
+        fast = set(maximal_normal_member_sets(G, full))
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, full), G.order)
@@ -156,7 +156,7 @@ def test_maximal_member_sets_of_proper_subgroups():
     for H in all_subgroups(G):
         if H.order == 1:
             continue
-        fast = {mask for _, mask in maximal_normal_member_sets(G, H.members)}
+        fast = set(maximal_normal_member_sets(G, H.members))
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, H.members), H.order)
@@ -166,10 +166,9 @@ def test_maximal_member_sets_of_proper_subgroups():
 
 def _assert_route_matches_lattice(G, members, label):
     """maximal_normal_member_sets vs the maximal proper normal subgroups."""
-    pairs = maximal_normal_member_sets(G, members)
-    assert all(mask == mask_of(mem) for mem, mask in pairs), label
-    got = sorted(mem for mem, _ in pairs)
-    assert len(set(got)) == len(got), label
+    masks = maximal_normal_member_sets(G, members)
+    assert len(set(masks)) == len(masks), label
+    got = sorted(members_of(m) for m in masks)
     ref = _maximal_among(normal_member_sets(G, members), len(members))
     assert got == sorted(ref), label
 
@@ -185,6 +184,23 @@ def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables
                 _assert_route_matches_lattice(G, H.members, (name, H.members))
                 checked += 1
     assert checked == 1614
+
+
+def test_prime_index_route_on_every_subgroup_of_abelian_roster(roster_tables):
+    """Every non-trivial subgroup of each abelian roster group of order <= 64.
+
+    Covers K = H^p > 1 (Z4xZ4, Ab(2^3+2), Z2xZ8) and odd p (E(3,3), E(5,2));
+    E(2,6) alone would add 2,824 subgroups of one shape.
+    """
+    checked = 0
+    for name, _, G in roster_tables:
+        if G.order > 64 or not G.is_abelian or name == "E(2,6)":
+            continue
+        for H in all_subgroups(G):
+            if H.order > 1:
+                _assert_route_matches_lattice(G, H.members, (name, H.members))
+                checked += 1
+    assert checked == 773
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from compseries import (
 )
 from compseries.catalog import realize_text
 from compseries.formulas import count_cyclic
+from compseries import lattice
 from compseries.lattice import _maximal_among, normal_member_sets
 
 
@@ -151,6 +152,20 @@ def test_enumerate_shares_one_subgroup_per_term():
         for t in ch.terms:
             assert by_members.setdefault(t.members, t) is t
     assert len(by_members) == 67  # every subspace of F_2^4
+
+
+def test_enumerate_finds_each_terms_children_once(monkeypatch):
+    calls = Counter()
+    route = lattice.maximal_normal_member_sets
+
+    def counted(G, members):
+        calls[members] += 1
+        return route(G, members)
+
+    monkeypatch.setattr(lattice, "maximal_normal_member_sets", counted)
+    assert len(enumerate_series(realize_text("E(2,4)"))) == 1 * 3 * 7 * 15
+    # once per non-trivial subspace of F_2^4
+    assert len(calls) == 66 and set(calls.values()) == {1}
 
 
 def test_count_leaves_no_reference_cycles():

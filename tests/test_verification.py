@@ -1,6 +1,9 @@
 """The cross-check suite behind the CLI `verify` command."""
 
-from compseries import verification
+import hashlib
+from collections import Counter
+
+from compseries import catalog, verification
 
 
 def test_run_verify_small_cap_all_ok():
@@ -21,3 +24,31 @@ def test_check_result_ok_semantics():
     assert verification.CheckResult("x", "SKIP").ok
     assert verification.CheckResult("x", "FINDING").ok
     assert not verification.CheckResult("x", "FAIL").ok
+
+
+def test_agreement_realizes_each_sylow_type_once(monkeypatch):
+    realized = Counter()
+    realize = catalog.realize
+
+    def counted(spec, cap=None):
+        realized[catalog.print_spec(spec)] += 1
+        return realize(spec, cap)
+
+    monkeypatch.setattr(catalog, "realize", counted)
+    rows = verification.check_formula_oracle_agreement(128)
+    roster = [s for _, s in catalog.standard_roster(128) if catalog.is_abelian_spec(s)]
+    types, roster_types = set(), set()
+    for spec in roster:
+        parts = catalog.abelian_prime_partitions(spec).items()
+        types.update(parts)
+        if len(parts) == 1:
+            roster_types.update(parts)
+    assert sum(realized.values()) == len(roster) + len(types - roster_types)
+    assert set(realized.values()) == {1}
+    assert len(rows) == 51 and all(r.status == "PASS" for r in rows)
+    details = {r.name: r.detail for r in rows}
+    assert details["series count E(2,7)"] == "brute=78129765 formula=78129765"
+    # the rows as they read when every Sylow type was realized afresh per group
+    text = "\n".join(f"{r.name}\t{r.status}\t{r.detail}" for r in rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "84a7712ae7ffc91d9b63637d613aa02d5abfbd3f5a959689113f3179f67bb118"
