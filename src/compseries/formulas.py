@@ -5,7 +5,7 @@ zero remainder."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isqrt, prod
+from math import factorial, prod
 
 from .errors import DomainError
 from .group_core import prime_exponents
@@ -13,18 +13,7 @@ from .group_core import prime_exponents
 
 def is_prime(n):
     """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d <= isqrt(n):
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    return prime_exponents(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)

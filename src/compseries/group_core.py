@@ -205,40 +205,32 @@ def _dimino_close(G, seed):
 
 
 def extend_members(G, members, flags, gens, seed):
-    """Extend the subgroup ``members``, generated by ``gens``, to <members, seed>.
+    """Dimino step: extend the subgroup S = ``members``, generated by ``gens``, to <S, seed>.
 
-    Each seed element not yet a member extends the subgroup (``dimino_extend``)
-    and is appended to ``gens``; all three lists are updated in place.
+    Each seed element g outside the current subgroup S is appended to ``gens``
+    and the elements of <S, g> outside S to ``members``, marked in ``flags``
+    (one byte per element of G); all three are updated in place.  They come
+    by whole right cosets S*t with t = r*h for a coset representative r and a
+    generator h: |<S, g>| products plus index * #gens lookups, not |<S, g>|^2
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
     """
-    for g in seed:
-        if not flags[g]:
-            dimino_extend(G, members, flags, gens, g)
-            gens.append(g)
-
-
-def dimino_extend(G, members, flags, gens, g):
-    """Dimino step: extend the subgroup S = ``members``, generated by ``gens``, to <S, g>.
-
-    Appends the elements of <S, g> outside S to ``members`` and marks them in
-    ``flags`` (one byte per element of G), by whole right cosets S*t with
-    t = r*h for a coset representative r and a generator h: |<S, g>| products
-    plus index * #gens lookups, not |<S, g>|^2 (Holt, Eick & O'Brien, Handbook
-    of Computational Group Theory, 2005).
-    """
-    allgens = (*gens, g)
-    reps = [0]
     rows = G.rows()
-    sub_rows = [rows[s] for s in members]
-    for r in reps:  # reps grows while it is walked
-        row = rows[r]
-        for h in allgens:
-            t = row[h]
-            if not flags[t]:
-                coset = [sr[t] for sr in sub_rows]
-                for e in coset:
-                    flags[e] = 1
-                members += coset
-                reps.append(t)
+    for g in seed:
+        if flags[g]:
+            continue
+        gens.append(g)
+        reps = [0]
+        sub_rows = [rows[s] for s in members]
+        for r in reps:  # reps grows while it is walked
+            row = rows[r]
+            for h in gens:
+                t = row[h]
+                if not flags[t]:
+                    coset = [sr[t] for sr in sub_rows]
+                    for e in coset:
+                        flags[e] = 1
+                    members += coset
+                    reps.append(t)
 
 
 def generated_subgroup(G, seed):
@@ -260,9 +252,12 @@ def build_from_generators(n_points, generators, cap=None, labels=False):
     gens = []
     for g in generators:
         g = tuple(int(x) for x in g)
-        if sorted(g) != list(range(n_points)):
+        # the length first: the cost stays bounded by the size of the input
+        if len(g) != n_points or sorted(g) != list(range(n_points)):
             raise DomainError(f"generator {g} is not a permutation of 0..{n_points - 1}")
         gens.append(g)
+    if not gens:
+        return GroupTable([[0]], labels=[str(tuple(range(n_points)))] if labels else None)
     ident = tuple(range(n_points))
     elems = [ident]
     index = {ident: 0}
@@ -443,9 +438,8 @@ def is_simple(G):
         raise DomainError("simplicity is undefined for the trivial group")
     from .lattice import normal_subgroups  # local import, avoids module cycle
 
-    n = G.order
     # prime order: only trivial subgroups exist at all
-    if n in (2, 3) or (n > 3 and all(n % d for d in range(2, int(n**0.5) + 1))):
+    if prime_exponents(G.order) == [(G.order, 1)]:
         return True
     return len(normal_subgroups(G).items) == 2
 

@@ -1,13 +1,13 @@
 """Exhaustive subgroup / normal-subgroup enumeration: the brute-force side.
 
-Three distinct algorithms live here:
+Two algorithms live here:
 
-* ``all_subgroups`` — breadth-first closure of the whole lattice, extending
-  each known subgroup by one outside element (Dimino coset filling keeps the
-  extension cheap).
-* ``normal_subgroups`` — conjugacy-class atoms closed under pairwise join.
-  Every normal subgroup is a join of class closures, so this terminates with
-  the complete list without touching the full lattice.
+* ``all_subgroups`` and ``normal_subgroups`` — one join closure over two atom
+  sets.  Every subgroup is the join of the cyclic subgroups it contains, and
+  every normal subgroup is the join of the normal closures of its conjugacy
+  classes, so closing the trivial subgroup under joins with the atoms <g>,
+  or with the class closures, gives the whole lattice or the normal lattice.
+  Each join extends a known subgroup by one Dimino step.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
   For a solvable subgroup H every maximal normal subgroup has prime index,
   so they are exactly the kernels of maps onto Z_p: the hyperplanes of the
@@ -33,7 +33,6 @@ from .group_core import (
     close_members,
     classes_of_members,
     derived_members,
-    dimino_extend,
     extend_members,
     is_abelian_members,
     is_solvable_members,
@@ -65,7 +64,7 @@ class SubgroupSet:
 
 
 def all_subgroups(G, cap=None):
-    """Every subgroup of G exactly once (breadth-first closure from trivial)."""
+    """Every subgroup of G exactly once: the joins of its cyclic subgroups."""
     if cap is None:
         cap = config.SUBGROUP_ENUM_CAP
     n = G.order
@@ -73,60 +72,53 @@ def all_subgroups(G, cap=None):
         raise CapacityError(
             f"all_subgroups refused: order {n} exceeds the subgroup-enumeration cap {cap}"
         )
-    trivial = bytearray(n)
-    trivial[0] = 1
-    seen = {bytes(trivial): [0]}
-    queue = [([0], trivial, ())]
-    while queue:
-        members, flags, gens = queue.pop()
-        for g in range(1, n):
-            if flags[g]:
-                continue
-            t_members, t_flags = list(members), bytearray(flags)
-            dimino_extend(G, t_members, t_flags, gens, g)
-            key = bytes(t_flags)
-            if key not in seen:
-                seen[key] = t_members
-                queue.append((t_members, t_flags, gens + (g,)))
-    ordered = sorted((tuple(sorted(m)) for m in seen.values()), key=lambda t: (len(t), t))
-    return SubgroupSet(G, [Subgroup(G, m) for m in ordered])
+    subs = _join_closure(G, [(g,) for g in range(1, n)])
+    return SubgroupSet(G, [Subgroup(G, m) for m in subs])
 
 
 def normal_member_sets(G, members):
     """All normal subgroups of the subgroup ``members``, as member tuples.
 
-    The lattice of the whole group is kept in ``G._normal_cache``.
+    They are the joins of the normal closures of its conjugacy classes.  The
+    lattice of the whole group is kept in ``G._normal_cache``.
     """
     whole = len(members) == G.order
     if whole and G._normal_cache is not None:
         return G._normal_cache
-    classes = classes_of_members(G, members)
-    atoms = {}
-    for cls in classes:
-        if cls == (0,):
-            continue
-        mem = close_members(G, cls)
-        atoms.setdefault(mask_of(mem), mem)
-    normals = {1: (0,)}
-    trivial = bytearray(G.order)
-    trivial[0] = 1
-    frontier = [([0], trivial, [], 1)]
-    while frontier:
-        nmem, nflags, ngens, nmask = frontier.pop()
-        for amask, amem in atoms.items():
-            if amask | nmask == nmask:
-                continue
-            # the join <N, A>: extend N, already a subgroup, by A's elements
-            join, jflags, jgens = list(nmem), bytearray(nflags), list(ngens)
-            extend_members(G, join, jflags, jgens, amem)
-            jmask = mask_of(join)
-            if jmask not in normals:
-                normals[jmask] = tuple(sorted(join))
-                frontier.append((join, jflags, jgens, jmask))
-    out = sorted(normals.values(), key=lambda t: (len(t), t))
+    classes = [c for c in classes_of_members(G, members) if c != (0,)]
+    out = _join_closure(G, classes)
     if whole:
         G._normal_cache = out
     return out
+
+
+def _join_closure(G, seeds):
+    """Member tuples of every join of the subgroups <seed>, the trivial one included.
+
+    Sorted by (order, members).  The atoms <seed> are deduplicated by mask;
+    the joins are walked from the trivial subgroup, each one extending a
+    known subgroup by the seed of an atom outside it, and keyed by its flag
+    bytes, so a mask is built once per new subgroup.
+    """
+    atoms = {}
+    for seed in seeds:
+        atoms.setdefault(mask_of(close_members(G, seed)), seed)
+    trivial = bytearray(G.order)
+    trivial[0] = 1
+    found = {bytes(trivial): (0,)}
+    frontier = [([0], trivial, [], 1)]
+    while frontier:
+        members, flags, gens, mask = frontier.pop()
+        for amask, seed in atoms.items():
+            if amask | mask == mask:
+                continue
+            join, jflags, jgens = list(members), bytearray(flags), list(gens)
+            extend_members(G, join, jflags, jgens, seed)
+            key = bytes(jflags)
+            if key not in found:
+                found[key] = tuple(sorted(join))
+                frontier.append((join, jflags, jgens, mask_of(join)))
+    return sorted(found.values(), key=lambda t: (len(t), t))
 
 
 def normal_subgroups(G):

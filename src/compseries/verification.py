@@ -30,23 +30,38 @@ class CheckResult:
 _LATTICE_HEAVY = {"E(2,7)", "E(2,8)", "Z9xZ9", "E(3,4)"}
 
 
-def _realized(roster):
+def _table(tables, name, spec):
+    """The table of ``spec``, realized on first use and kept in ``tables`` under ``name``."""
+    if name not in tables:
+        tables[name] = catalog.realize(spec)
+    return tables[name]
+
+
+def _realized(roster, tables):
+    if tables is None:
+        tables = {}
     for name, spec in roster:
-        yield name, spec, catalog.realize(spec)
+        yield name, spec, _table(tables, name, spec)
 
 
-def check_formula_oracle_agreement(order_cap=256):
+def check_formula_oracle_agreement(order_cap=256, tables=None):
     """Brute series count vs the cyclic / elementary / abelian formulas.
 
     Each Sylow type (p, partition) is counted on one table: the roster's own
     p-group of that type when there is one, else a table realized once.
+
+    ``tables``, when given, maps canonical names to realized tables; the check
+    reads its groups from it and adds those it realizes, so the checks of one
+    run share each table and its cached counts.
     """
+    if tables is None:
+        tables = {}
     roster = [
         (n, s) for n, s in catalog.standard_roster(order_cap) if catalog.is_abelian_spec(s)
     ]
     groups = [
         (name, spec, G, catalog.abelian_prime_partitions(spec))
-        for name, spec, G in _realized(roster)
+        for name, spec, G in _realized(roster, tables)
     ]
     sylow = {}
     for _, _, G, parts in groups:
@@ -60,7 +75,8 @@ def check_formula_oracle_agreement(order_cap=256):
         sylow_counts = []
         for key in parts.items():
             if key not in sylow:
-                sylow[key] = catalog.realize(catalog.Abelian((key,)))
+                spec = catalog.Abelian((key,))
+                sylow[key] = _table(tables, catalog.print_spec(spec), spec)
             sylow_counts.append(series.count_series(sylow[key]).value)
         expect = formulas.count_abelian(fac, sylow_counts) if parts else 1
         ok = brute == expect
@@ -78,7 +94,7 @@ def check_formula_oracle_agreement(order_cap=256):
     return rows
 
 
-def check_normal_vs_filter(order_cap=256):
+def check_normal_vs_filter(order_cap=256, tables=None):
     """normal_subgroups agrees with filtering all_subgroups by is_normal."""
     rows = []
     for name, spec, G in _realized(
@@ -86,7 +102,8 @@ def check_normal_vs_filter(order_cap=256):
             (n, s)
             for n, s in catalog.standard_roster(min(order_cap, 128))
             if n not in _LATTICE_HEAVY
-        ]
+        ],
+        tables,
     ):
         subs = lattice.all_subgroups(G)
         filtered = {s.mask for s in subs if group_core.is_normal(G, s)}
@@ -102,7 +119,7 @@ def check_normal_vs_filter(order_cap=256):
     return rows
 
 
-def check_maximal_count_formula(order_cap=256):
+def check_maximal_count_formula(order_cap=256, tables=None):
     """Brute maximal-subgroup count vs the elementary-Sylow formula."""
     rows = []
     roster = [
@@ -110,7 +127,7 @@ def check_maximal_count_formula(order_cap=256):
         for n, s in catalog.standard_roster(min(order_cap, 128))
         if catalog.is_elem_sylow_spec(s) and n not in _LATTICE_HEAVY
     ]
-    for name, spec, G in _realized(roster):
+    for name, spec, G in _realized(roster, tables):
         if G.order == 1:
             continue
         brute = lattice.maximal_subgroups_count(G)
@@ -172,7 +189,7 @@ def check_simple_products(order_cap=256):
     return rows
 
 
-def check_bound_over_catalog(order_cap=256):
+def check_bound_over_catalog(order_cap=256, tables=None):
     """count_series(G) <= bound(order_cap) for every catalog group.
 
     An excess would contradict the main bound; it is reported as a FINDING so
@@ -183,7 +200,7 @@ def check_bound_over_catalog(order_cap=256):
     b = bounds.bound(cap)
     alpha = bounds.ilog(2, cap)
     expected_attainer = catalog.print_spec(catalog.parse_spec(f"E(2,{alpha})"))
-    for name, spec, G in _realized(catalog.standard_roster(order_cap)):
+    for name, spec, G in _realized(catalog.standard_roster(order_cap), tables):
         cnt = series.count_series(G).value
         if cnt > b:
             rows.append(
@@ -205,11 +222,13 @@ def check_bound_over_catalog(order_cap=256):
 
 
 def run_verify(order_cap=64):
+    """Every check, sharing one table per roster entry."""
+    tables = {}
     rows = []
-    rows += check_formula_oracle_agreement(order_cap)
-    rows += check_normal_vs_filter(order_cap)
-    rows += check_maximal_count_formula(order_cap)
+    rows += check_formula_oracle_agreement(order_cap, tables)
+    rows += check_normal_vs_filter(order_cap, tables)
+    rows += check_maximal_count_formula(order_cap, tables)
     rows += check_coprime_additivity()
     rows += check_simple_products(order_cap)
-    rows += check_bound_over_catalog(order_cap)
+    rows += check_bound_over_catalog(order_cap, tables)
     return rows

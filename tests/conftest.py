@@ -25,9 +25,14 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def realized():
+def tables():
+    """Canonical name -> GroupTable, shared by the whole session."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def realized(tables):
     """Memoized realize-by-text: realized('E(2,6)') -> shared GroupTable."""
-    tables = {}
 
     def get(text):
         key = catalog.print_spec(catalog.parse_spec(text))

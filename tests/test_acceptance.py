@@ -13,7 +13,6 @@ import pytest
 
 from compseries import (
     bound,
-    catalog,
     composition_factor_orders,
     count_series,
     enumerate_series,
@@ -25,14 +24,12 @@ from compseries import (
 from compseries.bounds import InequalityParams, check_induction_base, check_inequality_1, check_inequality_2, check_step4, ilog, lemma41_ratio_exceeds_one, primes_upto, sweep_theorem_43
 from compseries.catalog import realize_text
 from compseries.formulas import (
-    Factorization,
-    count_abelian,
-    count_abelian_elem_sylow,
     count_cyclic,
     count_elem_abelian,
     maximal_subgroup_count_formula,
 )
 from compseries import series as series_mod
+from compseries.verification import check_formula_oracle_agreement
 
 
 # one line per criterion; echoed in the terminal summary by conftest so the
@@ -87,43 +84,12 @@ def test_acceptance_4_a5_x_a5_normal_structure():
     report(4, ok, f"normals={normals} (want 4) maximal={maximal} (want 2) in {elapsed:.1f}s (< 60s)")
 
 
-def test_acceptance_5_abelian_oracle_formula_equivalence(roster_tables, realized):
+def test_acceptance_5_abelian_oracle_formula_equivalence(tables):
     """Every abelian roster spec of order <= 256: brute count = formula values."""
-
-    def sylow_text(p, es):
-        # elementary Sylow types canonicalize to E(p,k), sharing cached counts
-        if all(e == 1 for e in es):
-            return f"E({p},{len(es)})"
-        return catalog.Abelian(((p, es),)).text()
-
-    mismatches = []
-    checked = 0
-    for name, spec, G in roster_tables:
-        if not catalog.is_abelian_spec(spec):
-            continue
-        checked += 1
-        brute = count_series(G).value
-        parts = catalog.abelian_prime_partitions(spec)
-        if parts:
-            fac = Factorization(tuple((p, sum(es)) for p, es in parts.items()))
-            sylow = [
-                count_series(realized(sylow_text(p, es))).value
-                for p, es in parts.items()
-            ]
-            expect = count_abelian(fac, sylow)
-        else:
-            expect = 1
-        if brute != expect:
-            mismatches.append((name, brute, expect))
-        if parts and catalog.is_elem_sylow_spec(spec):
-            fac = Factorization(tuple((p, sum(es)) for p, es in parts.items()))
-            if brute != count_abelian_elem_sylow(fac):
-                mismatches.append((name, brute, "elem-sylow formula"))
-        if parts and catalog.is_cyclic_spec(spec):
-            if brute != count_cyclic(fac):
-                mismatches.append((name, brute, "cyclic formula"))
-    ok = checked >= 30 and not mismatches
-    report(5, ok, f"{checked} abelian specs checked, {len(mismatches)} mismatches {mismatches[:3]}")
+    rows = check_formula_oracle_agreement(256, tables)
+    bad = [(r.name, r.detail) for r in rows if r.status != "PASS"]
+    ok = len(rows) >= 30 and not bad
+    report(5, ok, f"{len(rows)} abelian specs checked, {len(bad)} mismatches {bad[:3]}")
 
 
 def test_acceptance_6_million_order_sweep():

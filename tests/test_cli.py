@@ -134,6 +134,22 @@ def test_group_file_missing_field_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_group_file_huge_points_without_generators_is_trivial(capsys, tmp_path):
+    path = tmp_path / "grp.json"
+    path.write_text(json.dumps({"points": 10**12, "generators": []}))
+    code, rep, _ = run_json(capsys, "count", "--group-file", str(path))
+    assert code == 0
+    assert rep["result"]["count"] == "1"
+
+
+def test_group_file_generator_shorter_than_points_exits_1(capsys, tmp_path):
+    path = tmp_path / "grp.json"
+    path.write_text(json.dumps({"points": 10**12, "generators": [[1, 0]]}))
+    code, out, err = run(capsys, "count", "--group-file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -1,5 +1,6 @@
 """Subgroup lattice enumeration: all / normal / maximal(-normal) subgroups."""
 
+import numpy as np
 import pytest
 
 from compseries import (
@@ -13,7 +14,7 @@ from compseries import (
     maximal_subgroups_count,
     normal_subgroups,
 )
-from compseries.catalog import realize_text
+from compseries.catalog import realize, realize_text, standard_roster
 from compseries.group_core import mask_of, members_of
 from compseries.lattice import (
     _maximal_among,
@@ -46,6 +47,25 @@ def test_all_subgroups_no_duplicate_masks():
     subs = all_subgroups(realize_text("S4"))
     assert len(subs.masks()) == len(subs)  # dedup by bit set
     assert len(subs) == 30  # known subgroup count of S4
+
+
+def test_all_subgroups_equal_closed_subsets_of_small_roster():
+    """Independent of the join closure: every subset that contains 0 and is
+    closed under the table is a subgroup (the group is finite)."""
+    for name, spec in standard_roster(12):
+        G = realize(spec)
+        n = G.order
+        closed = set()
+        for bits in range(1 << (n - 1)):
+            mem = np.array([0] + [x for x in range(1, n) if bits >> (x - 1) & 1])
+            if np.isin(G.mult[np.ix_(mem, mem)], mem).all():
+                closed.add(mask_of(mem.tolist()))
+        assert all_subgroups(G).masks() == closed, name
+
+
+def test_a5_and_s5_subgroup_counts():
+    assert len(all_subgroups(realize_text("A5"))) == 59
+    assert len(all_subgroups(realize_text("S5"))) == 156
 
 
 def test_all_subgroups_cap():

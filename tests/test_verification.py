@@ -3,7 +3,7 @@
 import hashlib
 from collections import Counter
 
-from compseries import catalog, verification
+from compseries import catalog, series, verification
 
 
 def test_run_verify_small_cap_all_ok():
@@ -52,3 +52,26 @@ def test_agreement_realizes_each_sylow_type_once(monkeypatch):
     text = "\n".join(f"{r.name}\t{r.status}\t{r.detail}" for r in rows)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "84a7712ae7ffc91d9b63637d613aa02d5abfbd3f5a959689113f3179f67bb118"
+
+
+def test_run_verify_walks_each_group_once(monkeypatch):
+    made, walks = {}, Counter()
+    realize, count_series = catalog.realize, series.count_series
+
+    def realized(spec, cap=None):
+        G = realize(spec, cap)
+        made[id(G)] = (catalog.print_spec(spec), G)  # G kept alive: ids stay unique
+        return G
+
+    def counted(G):
+        result = count_series(G)
+        if result.method == "brute-force":
+            walks[made[id(G)][0]] += 1
+        return result
+
+    monkeypatch.setattr(catalog, "realize", realized)
+    monkeypatch.setattr(series, "count_series", counted)
+    rows = verification.run_verify(128)
+    assert rows and all(r.ok for r in rows)
+    assert {name for name, _ in catalog.standard_roster(128)} <= set(walks)
+    assert set(walks.values()) == {1}, [n for n, c in walks.items() if c > 1]
