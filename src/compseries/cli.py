@@ -11,6 +11,7 @@ any length, so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -50,12 +51,16 @@ def cache_get(key):
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError("the entry is not a JSON object")
         if payload.get("cache_key") != key:
             return None
+        if not isinstance(payload["report"], dict):
+            raise TypeError("its report is not a JSON object")
         return payload["report"]
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
         return None
 
@@ -64,18 +69,18 @@ def cache_put(key, report):
     d = _cache_dir()
     if not d:
         return
-    os.makedirs(d, exist_ok=True)
-    path = _cache_path(key)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump({"cache_key": key, "report": report}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        os.replace(tmp, _cache_path(key))
+    except OSError as exc:
+        print(f"warning: result not cached in {d}: {exc}", file=sys.stderr)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

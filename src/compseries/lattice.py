@@ -7,7 +7,9 @@ Two algorithms live here:
   every normal subgroup is the join of the normal closures of its conjugacy
   classes, so closing the trivial subgroup under joins with the atoms <g>,
   or with the class closures, gives the whole lattice or the normal lattice.
-  Each join extends a known subgroup by one Dimino step.
+  The atoms are taken in turn: every join found so far that misses the atom
+  is extended by it with one Dimino step, so after atom i every join of
+  atoms 1..i is known and each join is extended only by later atoms.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
   For a solvable subgroup H every maximal normal subgroup has prime index,
   so they are exactly the kernels of maps onto Z_p: the hyperplanes of the
@@ -95,30 +97,28 @@ def normal_member_sets(G, members):
 def _join_closure(G, seeds):
     """Member tuples of every join of the subgroups <seed>, the trivial one included.
 
-    Sorted by (order, members).  The atoms <seed> are deduplicated by mask;
-    the joins are walked from the trivial subgroup, each one extending a
-    known subgroup by the seed of an atom outside it, and keyed by its flag
-    bytes, so a mask is built once per new subgroup.
+    Sorted by (order, members).  The atoms <seed> are deduplicated by mask and
+    taken one at a time; after atom i, ``found`` holds every join of atoms
+    1..i, because join(T + {a}) = <join(T), a>.  So each join found before
+    atom a is extended by a's seed unless it contains a, and no (join, atom)
+    pair is tried twice.  Joins are keyed by their flag bytes, so a mask is
+    built once per new subgroup.
     """
     atoms = {}
     for seed in seeds:
         atoms.setdefault(mask_of(close_members(G, seed)), seed)
     trivial = bytearray(G.order)
     trivial[0] = 1
-    found = {bytes(trivial): (0,)}
-    frontier = [([0], trivial, [], 1)]
-    while frontier:
-        members, flags, gens, mask = frontier.pop()
-        for amask, seed in atoms.items():
-            if amask | mask == mask:
-                continue
-            join, jflags, jgens = list(members), bytearray(flags), list(gens)
-            extend_members(G, join, jflags, jgens, seed)
-            key = bytes(jflags)
-            if key not in found:
-                found[key] = tuple(sorted(join))
-                frontier.append((join, jflags, jgens, mask_of(join)))
-    return sorted(found.values(), key=lambda t: (len(t), t))
+    found = {bytes(trivial): ([0], [], 1)}
+    for amask, seed in atoms.items():
+        for key, (members, gens, mask) in list(found.items()):
+            if amask | mask != mask:
+                join, flags, jgens = list(members), bytearray(key), list(gens)
+                extend_members(G, join, flags, jgens, seed)
+                jkey = bytes(flags)
+                if jkey not in found:
+                    found[jkey] = (join, jgens, mask_of(join))
+    return sorted((tuple(sorted(m)) for m, _, _ in found.values()), key=lambda t: (len(t), t))
 
 
 def normal_subgroups(G):
@@ -154,11 +154,9 @@ def maximal_normal_subgroups(G):
     return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
 
 
-def maximal_subgroups_count(G, cap=None):
+def maximal_subgroups_count(G):
     """Number of maximal elements among all proper subgroups (brute force)."""
-    subs = all_subgroups(G, cap=cap)
-    sets = [s.members for s in subs.items]
-    return len(_maximal_among(sets, G.order))
+    return len(_maximal_among([s.members for s in all_subgroups(G)], G.order))
 
 
 # ---------------------------------------------------------------------------

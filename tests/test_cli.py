@@ -332,16 +332,36 @@ def test_cache_key_distinguishes_modes(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["cache_hit"] is False
 
 
-def test_corrupt_cache_entry_recomputed_with_warning(capsys, tmp_path, monkeypatch):
+def _report_not_object(entry):
+    key = json.loads(entry.read_text())["cache_key"]
+    return json.dumps({"cache_key": key, "report": 5})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["{broken", "null", "[]", '"x"', _report_not_object],
+    ids=["broken", "null", "list", "string", "report-not-object"],
+)
+def test_corrupt_cache_entry_recomputed_with_warning(capsys, tmp_path, monkeypatch, payload):
     monkeypatch.setenv("COMPSERIES_CACHE", str(tmp_path))
     run_json(capsys, "count", "--group", "Z60")
     (entry,) = tmp_path.glob("*.json")
-    entry.write_text("{broken")
+    entry.write_text(payload if isinstance(payload, str) else payload(entry))
     code, rep, err = run_json(capsys, "count", "--group", "Z60")
     assert code == 0
     assert rep["cache_hit"] is False
     assert rep["result"]["count"] == "12"
     assert "corrupt" in err
+
+
+def test_unusable_cache_dir_skips_the_write_with_warning(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("COMPSERIES_CACHE", str(blocker))
+    code, rep, err = run_json(capsys, "count", "--group", "Z12")
+    assert code == 0
+    assert rep["result"]["count"] == "3"
+    assert err.count("\n") == 1 and err.startswith("warning:")
 
 
 def test_cache_misses_after_group_file_is_rewritten(capsys, tmp_path, monkeypatch):

@@ -68,6 +68,21 @@ def test_a5_and_s5_subgroup_counts():
     assert len(all_subgroups(realize_text("S5"))) == 156
 
 
+@pytest.mark.parametrize("text, joins, subgroups", [("E(2,4)", 352, 67), ("S4", 186, 30)])
+def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, joins, subgroups):
+    # one extension per (join of atoms 1..i-1, atom i) pair with atom i outside the join
+    calls = []
+    real = lattice.extend_members
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "extend_members", counting)
+    assert len(all_subgroups(realize_text(text))) == subgroups
+    assert len(calls) == joins
+
+
 def test_all_subgroups_cap():
     with pytest.raises(CapacityError, match="cap"):
         all_subgroups(realize_text("Z8"), cap=4)

@@ -3,7 +3,7 @@
 import hashlib
 from collections import Counter
 
-from compseries import catalog, series, verification
+from compseries import catalog, lattice, series, verification
 
 
 def test_run_verify_small_cap_all_ok():
@@ -55,8 +55,9 @@ def test_agreement_realizes_each_sylow_type_once(monkeypatch):
 
 
 def test_run_verify_walks_each_group_once(monkeypatch):
-    made, walks = {}, Counter()
+    made, walks, lattices = {}, Counter(), Counter()
     realize, count_series = catalog.realize, series.count_series
+    all_subgroups = lattice.all_subgroups
 
     def realized(spec, cap=None):
         G = realize(spec, cap)
@@ -69,9 +70,18 @@ def test_run_verify_walks_each_group_once(monkeypatch):
             walks[made[id(G)][0]] += 1
         return result
 
+    def enumerated(G, cap=None):
+        lattices[id(G)] += 1
+        made.setdefault(id(G), (f"order {G.order}", G))
+        return all_subgroups(G, cap)
+
     monkeypatch.setattr(catalog, "realize", realized)
     monkeypatch.setattr(series, "count_series", counted)
+    monkeypatch.setattr(lattice, "all_subgroups", enumerated)
     rows = verification.run_verify(128)
     assert rows and all(r.ok for r in rows)
     assert {name for name, _ in catalog.standard_roster(128)} <= set(walks)
     assert set(walks.values()) == {1}, [n for n, c in walks.items() if c > 1]
+    # one subgroup lattice per table serves its normal-lattice and maximal-count rows
+    repeated = [made[i][0] for i, c in lattices.items() if c > 1]
+    assert len(lattices) == 92 and repeated == []
