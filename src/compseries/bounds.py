@@ -38,12 +38,17 @@ def bound(n):
     """
     if n < 4:
         raise DomainError("the bound is only stated for n >= 4")
-    top = n.bit_length() - 1  # floor(log2 n), exact
+    return prod(2**i - 1 for i in range(1, capped_log2(n) + 1))
+
+
+def capped_log2(n, name="n"):
+    """floor(log2 n), exact; a CapacityError above ``config.BOUND_LOG2_CAP``."""
+    top = n.bit_length() - 1
     if top > config.BOUND_LOG2_CAP:
         raise CapacityError(
-            f"bound refused: floor(log2 n) = {top} exceeds the cap {config.BOUND_LOG2_CAP}"
+            f"refused: floor(log2 {name}) = {top} exceeds the cap {config.BOUND_LOG2_CAP}"
         )
-    return prod(2**i - 1 for i in range(1, top + 1))
+    return top
 
 
 @dataclass(frozen=True)

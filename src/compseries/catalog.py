@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial, prod
 
 import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, SpecParseError
-from .group_core import GroupTable, build_from_generators
+from .formulas import factorize, is_prime
+from .group_core import GroupTable, build_from_generators, table_dtype
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,6 @@ _ATOM_RES = [
     (re.compile(r"S(\d+)"), lambda m: Symmetric(int(m.group(1)))),
     (re.compile(r"A(\d+)"), lambda m: Alternating(int(m.group(1)))),
 ]
-
-from .formulas import is_prime  # noqa: E402  (tiny helper, avoids duplication)
 
 
 def _validate_atom(atom, pos):
@@ -227,8 +227,6 @@ def abelian_prime_partitions(spec):
             for f in s.factors:
                 walk(f)
         elif isinstance(s, Cyclic):
-            from .formulas import factorize
-
             for p, a in factorize(s.n).pairs:
                 add(p, a)
         elif isinstance(s, ElemAbelian):
@@ -265,87 +263,60 @@ def is_elem_sylow_spec(spec):
 
 
 def _cyclic_table(n):
-    ar = np.arange(n)
-    return (ar[:, None] + ar[None, :]) % n
+    ar = np.arange(n, dtype=table_dtype(n))
+    # a - (n - b) lies in [-n, n - 2], inside the index dtype; a + b may not
+    return (ar[:, None] - (n - ar)) % n
 
 
 def _product_table(t1, t2):
+    """Table of the direct product, pairs (a, b) numbered a * |t2| + b."""
     n1, n2 = t1.shape[0], t2.shape[0]
+    dtype = table_dtype(n1 * n2)
     prod_t = (
-        np.asarray(t1, dtype=np.int64)[:, None, :, None] * n2
-        + np.asarray(t2, dtype=np.int64)[None, :, None, :]
+        t1.astype(dtype, copy=False)[:, None, :, None] * n2
+        + t2.astype(dtype, copy=False)[None, :, None, :]
     )
     return prod_t.reshape(n1 * n2, n1 * n2)
 
 
-def _quaternion_generators():
-    """Left-regular permutations of i and j on (1,-1,i,-i,j,-j,k,-k)."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {n: (-1 if n.startswith("-") else 1) for n in names}
-    base = {n: n.lstrip("-") for n in names}
-    rules = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-
-    def mul(a, b):
-        s = sign[a] * sign[b]
-        s2, r = rules[(base[a], base[b])]
-        s *= s2
-        return r if s == 1 else "-" + r
-
-    idx = {n: i for i, n in enumerate(names)}
-    gens = []
-    for g in ("i", "j"):
-        gens.append(tuple(idx[mul(g, n)] for n in names))
-    return gens
-
-
-def _atom_table(atom, cap):
-    if isinstance(atom, Cyclic):
-        return _cyclic_table(atom.n)
-    if isinstance(atom, ElemAbelian):
-        t = _cyclic_table(1)
-        for _ in range(atom.k):
-            t = _product_table(t, _cyclic_table(atom.p))
-        return t
-    if isinstance(atom, Abelian):
-        t = _cyclic_table(1)
-        for p, es in atom.parts:
-            for e in es:
-                t = _product_table(t, _cyclic_table(p**e))
-        return t
+def _permutation_group(atom, cap):
+    """GroupTable of a dihedral, quaternion, symmetric or alternating atom."""
     if isinstance(atom, Dihedral):
         m = atom.n // 2
         rot = tuple((x + 1) % m for x in range(m))
         refl = tuple((m - x) % m for x in range(m))
-        return build_from_generators(m, [rot, refl], cap=cap).mult
+        return build_from_generators(m, [rot, refl], cap=cap)
     if isinstance(atom, QuaternionQ8):
-        return build_from_generators(8, _quaternion_generators(), cap=cap).mult
+        # left-regular i and j on (1, -1, i, -i, j, -j, k, -k)
+        gens = [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]
+        return build_from_generators(8, gens, cap=cap)
+    n = atom.n
+    cycle = tuple(list(range(1, n)) + [0])
     if isinstance(atom, Symmetric):
-        n = atom.n
-        if n <= 1:
-            return _cyclic_table(1)
-        cycle = tuple(list(range(1, n)) + [0])
         swap = tuple([1, 0] + list(range(2, n)))
-        return build_from_generators(n, [cycle, swap] if n > 2 else [swap], cap=cap).mult
-    if isinstance(atom, Alternating):
-        n = atom.n
-        if n <= 2:
-            return _cyclic_table(1)
+        gens = [] if n <= 1 else [swap] if n == 2 else [cycle, swap]
+    elif n <= 2:
+        gens = []
+    else:
         three = tuple([1, 2, 0] + list(range(3, n)))
         if n == 3:
             gens = [three]
         elif n % 2:
-            gens = [three, tuple(list(range(1, n)) + [0])]
+            gens = [three, cycle]
         else:
             gens = [three, tuple([0] + list(range(2, n)) + [1])]
-        return build_from_generators(n, gens, cap=cap).mult
-    raise DomainError(f"cannot realize {atom!r}")
+    return build_from_generators(n, gens, cap=cap)
+
+
+def _factor_tables(atom, cap):
+    """Tables whose direct product, in order, is the atom's table."""
+    if isinstance(atom, Cyclic):
+        return [_cyclic_table(atom.n)]
+    if isinstance(atom, ElemAbelian):
+        return [_cyclic_table(atom.p)] * atom.k
+    if isinstance(atom, Abelian):
+        return [_cyclic_table(p**e) for p, es in atom.parts for e in es]
+    return [_permutation_group(atom, cap).mult]
 
 
 def realize(spec, cap=None):
@@ -357,13 +328,11 @@ def realize(spec, cap=None):
         raise CapacityError(
             f"spec order {total} exceeds the element cap {cap}"
         )
-    if isinstance(spec, DirectProduct):
-        t = _cyclic_table(1)
-        for f in spec.factors:
-            t = _product_table(t, _atom_table(f, cap))
-    else:
-        t = _atom_table(spec, cap)
-    return GroupTable(t)
+    if isinstance(spec, (Dihedral, QuaternionQ8, Symmetric, Alternating)):
+        return _permutation_group(spec, cap)  # validated as it was built
+    factors = spec.factors if isinstance(spec, DirectProduct) else (spec,)
+    tables = [t for f in factors for t in _factor_tables(f, cap)]
+    return GroupTable(reduce(_product_table, tables or [_cyclic_table(1)]))
 
 
 def realize_text(text, cap=None):

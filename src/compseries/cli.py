@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 domain/internal error, 2 parse error, 3 cross-check
 mismatch, 4 capacity error, 5 sweep violation.  An element cap that is not an
 integer (COMPSERIES_ELEMENT_CAP=abc) exits 2; a cap <= 0, from the variable or
 from --element-cap, exits 1.  ``bound N`` with floor(log2 N) above
-``config.BOUND_LOG2_CAP`` exits 4.  Counts are serialized as decimal strings of
-any length, so arbitrary precision survives JSON.
+``config.BOUND_LOG2_CAP`` exits 4, and so does ``count`` of a spec whose order
+is that large, or whose cyclic order or prime is too large to factor.  Counts
+are serialized as decimal strings of any length, so arbitrary precision
+survives JSON.
 """
 
 from __future__ import annotations
@@ -191,6 +193,8 @@ def _formula_count(spec):
 def cmd_count(args):
     t0 = time.monotonic()
     name, source, G, spec = _load_group(args)
+    if spec is not None:
+        bounds.capped_log2(spec.order(), "|G|")  # count(G) <= bound(|G|)
     key = (
         f"count|{source}|mode={args.mode}|cross={args.cross_check}"
         f"|cap={args.element_cap}|version={__version__}"

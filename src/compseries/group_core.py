@@ -2,7 +2,10 @@
 
 Elements are indices 0..N-1 with the identity fixed at index 0.  Subgroups are
 immutable member tuples backed by a bit mask.  Everything here is a pure
-function of its inputs; tables are never mutated after construction.
+function of its inputs.  A table's ``mult`` and ``inv`` are read-only; what is
+derived from them is cached on the table when first asked for: ``_rows`` and
+``_inv_list`` here, ``_normal_cache`` (the normal lattice) by ``lattice`` and
+``_series_count`` by ``series``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from .errors import CapacityError, DomainError
 _SMALL_N = 1024
 
 
+def table_dtype(n):
+    """Index dtype of an order-n table: int16 up to order 32,767, int32 above."""
+    return np.int16 if n <= 2**15 - 1 else np.int32
+
+
 class GroupTable:
     """A finite group of order N given by its full N x N multiplication table.
 
@@ -31,20 +39,19 @@ class GroupTable:
     ``ASSOC_FULL_CHECK_CAP``, by random triples above that).
     """
 
-    def __init__(self, mult, labels=None):
+    def __init__(self, mult):
         mult = np.asarray(mult)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise DomainError("multiplication table must be square")
         n = mult.shape[0]
         if n < 1:
             raise DomainError("group order must be positive")
-        dtype = np.int16 if n <= 2**15 - 1 else np.int32
-        mult = np.ascontiguousarray(mult.astype(dtype))
+        dtype = table_dtype(n)
+        mult = np.ascontiguousarray(mult, dtype=dtype)  # no copy when already so
         self.order = n
         self.mult = mult
         self.mult.setflags(write=False)
         self.identity = 0
-        self.labels = labels
         # exactly one zero per row once the Latin property holds
         self.inv = np.argmax(mult == 0, axis=1).astype(dtype)
         self.inv.setflags(write=False)
@@ -238,7 +245,7 @@ def generated_subgroup(G, seed):
     return Subgroup(G, close_members(G, seed))
 
 
-def build_from_generators(n_points, generators, cap=None, labels=False):
+def build_from_generators(n_points, generators, cap=None):
     """Permutation group closure: BFS from the identity, identity index 0.
 
     Each generator lists the images of 0..n_points-1.  Element indices follow
@@ -257,7 +264,7 @@ def build_from_generators(n_points, generators, cap=None, labels=False):
             raise DomainError(f"generator {g} is not a permutation of 0..{n_points - 1}")
         gens.append(g)
     if not gens:
-        return GroupTable([[0]], labels=[str(tuple(range(n_points)))] if labels else None)
+        return GroupTable([[0]])
     ident = tuple(range(n_points))
     elems = [ident]
     index = {ident: 0}
@@ -276,13 +283,12 @@ def build_from_generators(n_points, generators, cap=None, labels=False):
                 index[p] = len(elems)
                 elems.append(p)
     n = len(elems)
-    mult = np.empty((n, n), dtype=np.int16 if n <= 2**15 - 1 else np.int32)
+    mult = np.empty((n, n), dtype=table_dtype(n))
     for a, ea in enumerate(elems):
         row = mult[a]
         for b, eb in enumerate(elems):
             row[b] = index[tuple(ea[eb[x]] for x in range(n_points))]
-    lab = [str(e) for e in elems] if labels else None
-    return GroupTable(mult, labels=lab)
+    return GroupTable(mult)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +399,8 @@ def is_solvable_members(G, members):
 def coset_quotient(G, n_members, h_members):
     """Coset space H / N realized as a GroupTable.
 
-    Returns (table, coset_index, coset_members) where ``coset_index`` maps a
-    parent element of H to its coset's index and ``coset_members[i]`` lists the
-    parent elements of coset i.  Cosets are ordered by smallest member, which
-    puts the identity coset at index 0.
+    Cosets are ordered by smallest member, which puts the identity coset at
+    index 0.
     """
     rows = G.rows()
     coset_index = {}
@@ -410,12 +414,7 @@ def coset_quotient(G, n_members, h_members):
     m = len(h_members)
     if len(coset_index) != m or len(reps) * len(n_members) != m:
         raise DomainError("coset space has inconsistent size; is N normal in H?")
-    coset_members = [[] for _ in reps]
-    for x in h_members:
-        coset_members[coset_index[x]].append(x)
-    qmult = [[coset_index[rows[a][b]] for b in reps] for a in reps]
-    table = GroupTable(qmult)
-    return table, coset_index, [tuple(c) for c in coset_members]
+    return GroupTable([[coset_index[rows[a][b]] for b in reps] for a in reps])
 
 
 def quotient(G_amb, N_sub, H):
@@ -427,9 +426,7 @@ def quotient(G_amb, N_sub, H):
         raise DomainError("containment violated: N is not a subset of H")
     if not _members_normal_in(G_amb, N_sub.members, H.members):
         raise DomainError("normality violated: N is not normal in H")
-    table, _, labels = coset_quotient(G_amb, N_sub.members, H.members)
-    table.labels = [str(list(c)) for c in labels]
-    return table
+    return coset_quotient(G_amb, N_sub.members, H.members)
 
 
 def is_simple(G):
@@ -445,10 +442,18 @@ def is_simple(G):
 
 
 def prime_exponents(n):
-    """[(p, a), ...] with n = prod p**a, primes ascending, by trial division."""
+    """[(p, a), ...] with n = prod p**a, primes ascending, by trial division.
+
+    A trial divisor past the square root of ``config.DEFAULT_SWEEP_CAP`` raises
+    a CapacityError instead, so every n up to that cap still factors.
+    """
     pairs = []
     d = 2
     while d * d <= n:
+        if d * d > config.DEFAULT_SWEEP_CAP:
+            raise CapacityError(
+                f"cannot factor {n}: no prime factor below {d}, and trial division stops there"
+            )
         if n % d == 0:
             a = 0
             while n % d == 0:

@@ -1,9 +1,19 @@
 """Group spec mini-language: parsing, canonical printing, realization, roster."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from compseries import DomainError, SpecParseError, parse_spec, print_spec, realize, realize_text
+from compseries import (
+    DomainError,
+    GroupTable,
+    SpecParseError,
+    parse_spec,
+    print_spec,
+    realize,
+    realize_text,
+)
 from compseries.catalog import (
     Abelian,
     Alternating,
@@ -175,6 +185,35 @@ def test_realize_trivial_atoms():
     assert realize_text("S1").order == 1
     assert realize_text("A2").order == 1
     assert realize_text("E(2,0)").order == 1
+
+
+def test_realized_tables_keep_their_numbering():
+    def digest(G):
+        return hashlib.sha256(str(G.mult.dtype).encode() + G.mult.tobytes()).hexdigest()
+
+    # realized afresh: the shared fixture tables may number a product in
+    # another factor order than its roster text
+    lines = [f"{name} {digest(realize(spec))}\n" for name, spec in standard_roster(4096)]
+    lines.append(f"A5xS4 {digest(realize_text('A5xS4'))}\n")
+    # one digest per table, of its index dtype and its multiplication table,
+    # as every table read when products were built in int64 and cast down
+    combined = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert combined == "3348e355a435f24c9c1cd60020f08e0126d0ccca8769000031ea680a9cdd0d91"
+
+
+@pytest.mark.parametrize(
+    "text, calls", [("S4", 1), ("A5", 1), ("Q8", 1), ("D64", 1), ("A5xS4", 3)]
+)
+def test_realize_validates_each_table_once(monkeypatch, text, calls):
+    validate, orders = GroupTable._validate, []
+
+    def counted(self):
+        orders.append(self.order)
+        return validate(self)
+
+    monkeypatch.setattr(GroupTable, "_validate", counted)
+    realize_text(text)
+    assert len(orders) == calls, orders
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,32 @@ def test_huge_count_is_emitted_in_full(capsys):
     assert Decimal(text) == value
 
 
+@pytest.mark.parametrize("mode", [("--mode", "auto"), ("--mode", "formula"), ("--cross-check",)])
+def test_count_above_the_bound_cap_exits_4(capsys, mode):
+    # floor(log2 |G|) = 1025: count(G) <= bound(|G|), which is refused there
+    code, out, err = run(capsys, "count", "--group", "E(2,1025)", *mode)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z1000000000000000003", "E(1000000000000000003,1)", "Ab(1000000000000000003^1)"]
+)
+def test_count_of_a_large_prime_exits_4(capsys, spec):
+    # 10**18 + 3 is prime: trial division would run to 10**9
+    code, out, err = run(capsys, "count", "--group", spec)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_count_of_a_smooth_large_order_still_factors(capsys):
+    code, rep, _ = run_json(capsys, "count", "--group", f"Z{2**60}")
+    assert code == 0
+    assert rep["result"] == {
+        "count": "1", "method": "formula:cyclic", "by_method": {"formula:cyclic": "1"}
+    }
+
+
 def test_bound_at_the_cap_is_emitted_in_full(capsys):
     n = 2**1025 - 1  # floor(log2 n) = 1024, the cap
     code, rep, _ = run_json(capsys, "bound", str(n))

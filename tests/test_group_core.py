@@ -233,9 +233,7 @@ def _ref_coset_quotient(G, n_mem, h_mem):
     reps = np.unique(key)
     index = np.full(G.order, -1)
     index[h] = np.searchsorted(reps, key)
-    table = index[G.mult[np.ix_(reps, reps)]].tolist()
-    cosets = [tuple(h[index[h] == i].tolist()) for i in range(len(reps))]
-    return table, {x: int(index[x]) for x in h_mem}, cosets
+    return index[G.mult[np.ix_(reps, reps)]].tolist()
 
 
 def _sample_subgroups(G):
@@ -271,10 +269,8 @@ def test_primitives_match_quadratic_definitions(text, realized):
             if len(outer) == G.order:
                 assert is_normal(G, Subgroup(G, inner)) == normal, inner
             if normal:
-                table, index, cosets = coset_quotient(G, inner, outer)
-                ref_table, ref_index, ref_cosets = _ref_coset_quotient(G, inner, outer)
-                assert table.mult.tolist() == ref_table
-                assert (index, cosets) == (ref_index, ref_cosets)
+                table = coset_quotient(G, inner, outer)
+                assert table.mult.tolist() == _ref_coset_quotient(G, inner, outer)
 
 
 def test_rows_beyond_small_order_match_the_table(realized):
