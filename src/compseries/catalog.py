@@ -119,8 +119,17 @@ _ATOM_RES = [
 ]
 
 
+# An integer literal with more digits than 2**BOUND_LOG2_CAP is past the cap.
+_MAX_DIGITS = len(str(1 << config.BOUND_LOG2_CAP))
+
+
 def _validate_atom(atom, pos):
-    """Semantic atom validation; syntax errors are raised earlier as parse errors."""
+    """Semantic atom validation; syntax errors are raised earlier as parse errors.
+
+    A prime-power atom whose order is at least 2**(BOUND_LOG2_CAP + 1) is
+    refused before that order is ever formed.
+    """
+    low = 0  # a lower bound on floor(log2 |atom|)
     if isinstance(atom, Cyclic) and atom.n < 1:
         raise DomainError("cyclic order must be >= 1")
     if isinstance(atom, ElemAbelian):
@@ -128,6 +137,7 @@ def _validate_atom(atom, pos):
             raise DomainError(f"{atom.p} is not prime")
         if atom.k < 0:
             raise DomainError("exponent must be >= 0")
+        low = atom.k * (atom.p.bit_length() - 1)
     if isinstance(atom, Dihedral):
         if atom.n % 2 or atom.n < 6:
             raise DomainError(
@@ -142,6 +152,12 @@ def _validate_atom(atom, pos):
                 raise DomainError(f"{p} is not prime")
             if not es or any(e < 1 for e in es):
                 raise DomainError("partition entries must be >= 1")
+        low = sum(sum(es) * (p.bit_length() - 1) for p, es in atom.parts)
+    if low > config.BOUND_LOG2_CAP:
+        raise CapacityError(
+            f"{atom.text()} has floor(log2 |G|) >= {low}, "
+            f"above the cap {config.BOUND_LOG2_CAP}"
+        )
 
 
 def _parse_abelian(body, pos):
@@ -176,6 +192,12 @@ def parse_spec(text):
     stripped = "".join(text.split())
     if not stripped:
         raise SpecParseError("empty group spec", 0)
+    for m in re.finditer(r"\d+", stripped):
+        if len(m.group().lstrip("0")) > _MAX_DIGITS:
+            raise CapacityError(
+                f"the integer at position {m.start()} has more than {_MAX_DIGITS} "
+                f"digits, so floor(log2 |G|) would exceed the cap {config.BOUND_LOG2_CAP}"
+            )
     factors = []
     pos = 0
     for chunk in stripped.split("x"):

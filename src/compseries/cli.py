@@ -5,7 +5,10 @@ mismatch, 4 capacity error, 5 sweep violation.  An element cap that is not an
 integer (COMPSERIES_ELEMENT_CAP=abc) exits 2; a cap <= 0, from the variable or
 from --element-cap, exits 1.  ``bound N`` with floor(log2 N) above
 ``config.BOUND_LOG2_CAP`` exits 4, and so does ``count`` of a spec whose order
-is that large, or whose cyclic order or prime is too large to factor.  Counts
+is that large, or whose cyclic order or prime is too large to factor; a spec
+whose integers alone show it that large exits 4 before anything is built.
+``enumerate`` streams its chains, and a reader that closes the pipe early
+ends it with exit 0.  Counts
 are serialized as decimal strings of any length, so arbitrary precision
 survives JSON.
 """
@@ -98,7 +101,10 @@ def _load_group(args):
     if getattr(args, "group_file", None):
         with open(args.group_file, "rb") as fh:
             data = fh.read()
-        payload = json.loads(data)
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:  # bad JSON or bytes, or an integer too long to convert
+            raise SpecParseError(f"malformed JSON input: {exc}") from None
         try:
             points = payload["points"]
             gens = payload["generators"]
@@ -240,26 +246,58 @@ def cmd_count(args):
     return EXIT_OK
 
 
+def _chain_lines(chains):
+    """One JSON text line per chain: its term orders and member lists.
+
+    Each line equals ``json.dumps({"orders": ..., "subgroups": ...})`` plus a
+    newline.  The chains of one walk share their terms, so the member list of
+    each distinct term is encoded once, keyed by its mask, and every line is
+    joined from those texts.
+    """
+    texts = {}
+
+    def encode(term):
+        text = texts[term.mask] = json.dumps(term.members)
+        return text
+
+    for ch in chains:
+        terms = ch.terms
+        orders = ", ".join([str(t.order) for t in terms])
+        subs = ", ".join([texts.get(t.mask) or encode(t) for t in terms])
+        yield '{"orders": [%s], "subgroups": [%s]}\n' % (orders, subs)
+
+
 def cmd_enumerate(args):
+    """Write each chain as the walk reaches it, so memory stays bounded.
+
+    A reader that closes the pipe early (``| head``) ends the walk normally.
+    """
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
     if G is None:
         G = catalog.realize(spec, cap=args.element_cap)
-    chains = series.enumerate_series(G, limit=args.limit)
+    lines = _chain_lines(series.enumerate_series(G, limit=args.limit))
     if args.output:
         sink = open(args.output, "w")
         report_stream = sys.stdout
     else:
         sink = sys.stdout
         report_stream = sys.stderr
+    written = 0
     try:
-        for ch in chains:
-            print(json.dumps(ch.to_json_obj()), file=sink)
+        for line in lines:
+            sink.write(line)
+            written += 1
+    except BrokenPipeError:
+        if args.output:
+            raise
+        # what stdout still buffers, flushed at exit too, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if args.output:
             sink.close()
     report = _base_report("enumerate", {"group": name, "limit": args.limit}, t0)
-    report["result"] = {"chains": len(chains)}
+    report["result"] = {"chains": written}
     if args.json:
         print(json.dumps(report), file=report_stream)
     else:
@@ -431,9 +469,6 @@ def main(argv=None):
     except SpecParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

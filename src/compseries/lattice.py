@@ -9,7 +9,9 @@ Two algorithms live here:
   or with the class closures, gives the whole lattice or the normal lattice.
   The atoms are taken in turn: every join found so far that misses the atom
   is extended by it with one Dimino step, so after atom i every join of
-  atoms 1..i is known and each join is extended only by later atoms.
+  atoms 1..i is known and each join is extended only by later atoms.  A join
+  skips an atom that lies in one of its prime-index covers, which it has
+  already found.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
   For a solvable subgroup H every maximal normal subgroup has prime index,
   so they are exactly the kernels of maps onto Z_p: the hyperplanes of the
@@ -100,25 +102,39 @@ def _join_closure(G, seeds):
     Sorted by (order, members).  The atoms <seed> are deduplicated by mask and
     taken one at a time; after atom i, ``found`` holds every join of atoms
     1..i, because join(T + {a}) = <join(T), a>.  So each join found before
-    atom a is extended by a's seed unless it contains a, and no (join, atom)
-    pair is tried twice.  Joins are keyed by their flag bytes, so a mask is
-    built once per new subgroup.
+    atom a is extended by a's seed unless a's first seed element lies in the
+    join's reach, and no (join, atom) pair is tried twice.  The reach of a
+    join J is J together with every cover K = <J, a> found from it whose
+    index |K : J| is prime: J is maximal in K, so <J, b> = K for every b in
+    K outside J.  A seed is a single element, or a class of a subgroup H in
+    which every join is normal, so the atom lies in K once its first seed
+    element does.  Joins are keyed by their flag bytes, so a mask is built
+    once per new subgroup.
     """
     atoms = {}
     for seed in seeds:
         atoms.setdefault(mask_of(close_members(G, seed)), seed)
     trivial = bytearray(G.order)
     trivial[0] = 1
-    found = {bytes(trivial): ([0], [], 1)}
-    for amask, seed in atoms.items():
-        for key, (members, gens, mask) in list(found.items()):
-            if amask | mask != mask:
-                join, flags, jgens = list(members), bytearray(key), list(gens)
-                extend_members(G, join, flags, jgens, seed)
-                jkey = bytes(flags)
-                if jkey not in found:
-                    found[jkey] = (join, jgens, mask_of(join))
-    return sorted((tuple(sorted(m)) for m, _, _ in found.values()), key=lambda t: (len(t), t))
+    # flag bytes -> [members, generators, mask, reach]
+    found = {bytes(trivial): [[0], [], 1, 1]}
+    for seed in atoms.values():
+        g = seed[0]
+        for key, entry in list(found.items()):
+            members, gens, _, reach = entry
+            if reach >> g & 1:
+                continue
+            join, flags, jgens = list(members), bytearray(key), list(gens)
+            extend_members(G, join, flags, jgens, seed)
+            jkey = bytes(flags)
+            cover = found.get(jkey)
+            if cover is None:
+                jmask = mask_of(join)
+                cover = found[jkey] = [join, jgens, jmask, jmask]
+            q = len(join) // len(members)
+            if prime_exponents(q) == [(q, 1)]:
+                entry[3] |= cover[2]
+    return sorted((tuple(sorted(m)) for m, _, _, _ in found.values()), key=lambda t: (len(t), t))
 
 
 def normal_subgroups(G):

@@ -4,9 +4,9 @@ The count recursion is c(trivial) = 1 and c(H) = sum of c(M) over the maximal
 normal subgroups M of H, memoized by the member bit mask of H inside the
 top-level parent.  The recursion is walked on masks: the maximal normal
 subgroups come back as masks, and the member tuple of a subgroup is built
-only on a memo miss.  Enumeration runs the same recursion as a DFS with
+only on a memo miss.  Enumeration runs the same recursion as a lazy DFS with
 children visited in (order, members) order, so output order is reproducible;
-it finds the children of each subgroup once.
+it finds the children of each subgroup once and yields chains one at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class CompositionChain:
 
     def orders(self):
         return [t.order for t in self.terms]
-
-    def to_json_obj(self):
-        return {
-            "orders": self.orders(),
-            "subgroups": [list(t.members) for t in self.terms],
-        }
 
 
 def _check_cap(G):
@@ -121,8 +115,10 @@ def _chain_walk(G, top, interned, children):
 
 
 def enumerate_series(G, limit=None):
-    """All distinct composition series of G, or the first ``limit`` of them.
+    """Iterator over all distinct composition series of G, or the first ``limit``.
 
+    The chains are built one at a time as the walk reaches them, so memory
+    does not grow with their number; the arguments are checked at call time.
     Equal terms of different chains are one shared Subgroup object.
     """
     _check_cap(G)
@@ -131,7 +127,7 @@ def enumerate_series(G, limit=None):
     walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {}, {})
     if limit is not None:
         walk = islice(walk, limit)
-    return [CompositionChain(tuple(raw)) for raw in walk]
+    return (CompositionChain(tuple(raw)) for raw in walk)
 
 
 def composition_factor_orders(chain):

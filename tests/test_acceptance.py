@@ -154,7 +154,7 @@ def test_acceptance_8_random_chain_validity(roster_tables):
     for name, spec, G in roster_tables:
         if G.order > 128:
             continue
-        chains = enumerate_series(G, limit=60)
+        chains = list(enumerate_series(G, limit=60))
         ref = composition_factor_orders(chains[0])
         for ch in chains:
             if composition_factor_orders(ch) != ref:

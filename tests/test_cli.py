@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
 
 import compseries
-from compseries import bounds, cli, formulas, series
+from compseries import bounds, catalog, cli, formulas, series
 
 try:
     import tomllib
@@ -127,6 +128,17 @@ def test_group_file_undecodable_bytes_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_group_file_with_a_5000_digit_integer_exits_2(capsys, tmp_path):
+    # json.loads refuses to convert an integer of more than 4,300 digits
+    path = tmp_path / "grp.json"
+    path.write_text('{"points": ' + "1" * 5000 + ', "generators": []}')
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "count", "--group-file", str(path))
+    assert time.monotonic() - t0 < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_group_file_missing_field_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": 3}))
@@ -231,6 +243,67 @@ def test_enumerate_to_file(capsys, tmp_path):
     assert json.loads(lines[0])["orders"] == [1, 60]
 
 
+def test_enumerate_lines_are_json_dumps_of_the_chains(capsys):
+    for text in ["Z12", "S4", "D8xZ3", "E(2,4)", "A5", "Q8xS4"]:
+        code, out, _ = run(capsys, "enumerate", "--group", text)
+        assert code == 0, text
+        want = [
+            json.dumps(
+                {
+                    "orders": [t.order for t in ch.terms],
+                    "subgroups": [list(t.members) for t in ch.terms],
+                }
+            )
+            for ch in series.enumerate_series(catalog.realize_text(text))
+        ]
+        assert out.splitlines() == want, text
+
+
+def test_enumerate_into_a_closed_pipe_exits_0():
+    # E(2,5) has 9,765 chains, far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "compseries", "enumerate", "--group", "E(2,5)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    assert json.loads(proc.stdout.readline())["orders"][-1] == 32
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert "error:" not in err and "Traceback" not in err, err
+
+
+# Runs `compseries` in a child and prints the child's peak RSS in KiB (Linux
+# units).  ru_maxrss survives exec, so a process forked from the test runner
+# would start out at the runner's size; the small interpreter in between
+# keeps that out of the figure.
+PEAK_RSS_CODE = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'compseries', *sys.argv[1:]], check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_enumerate_memory_does_not_grow_with_the_chains():
+    def peak_kib(limit):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CODE, "enumerate", "--group", "E(2,6)",
+             "--limit", str(limit), "--output", os.devnull],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.splitlines()[-1])
+
+    small, large = peak_kib(1000), peak_kib(100000)
+    assert abs(large - small) < 8 * 1024, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # bound / sweep
 
@@ -270,6 +343,27 @@ def test_count_of_a_large_prime_exits_4(capsys, spec):
     code, out, err = run(capsys, "count", "--group", spec)
     assert code == 4 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["count", "--group", "Z" + "1" * 5000], 4),
+        (["enumerate", "--group", "Z" + "1" * 5000], 4),
+        (["count", "--group", "E(2," + "1" * 5000 + ")"], 4),
+        (["count", "--group", "E(2,1000000000000)"], 4),
+        (["count", "--group", "Ab(2^1000000000000)"], 4),
+        (["enumerate", "--group", "E(2,1000000000000)"], 4),
+    ],
+    ids=["count-Z-5000-digits", "enumerate-Z-5000-digits", "E-5000-digit-rank",
+         "E-rank-1e12", "Ab-exponent-1e12", "enumerate-E-rank-1e12"],
+)
+def test_spec_past_the_bound_cap_is_refused_before_it_is_built(capsys, argv, exit_code):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 2
+    assert code == exit_code and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_count_of_a_smooth_large_order_still_factors(capsys):

@@ -84,13 +84,13 @@ def test_count_of_cyclic_matches_multinomial(n):
 
 
 def test_enumerate_klein_four():
-    chains = enumerate_series(realize_text("E(2,2)"))
+    chains = list(enumerate_series(realize_text("E(2,2)")))
     assert len(chains) == 3
     assert all(ch.orders() == [1, 2, 4] for ch in chains)
 
 
 def test_enumerate_trivial_group():
-    chains = enumerate_series(realize_text("Z1"))
+    chains = list(enumerate_series(realize_text("Z1")))
     assert len(chains) == 1
     assert chains[0].orders() == [1]
 
@@ -106,9 +106,21 @@ def test_enumerate_z12_order_sequences():
 
 def test_enumerate_limit():
     G = realize_text("Z12")
-    assert len(enumerate_series(G, limit=2)) == 2
+    assert len(list(enumerate_series(G, limit=2))) == 2
     with pytest.raises(DomainError):
         enumerate_series(G, limit=0)
+
+
+def test_enumerate_is_an_iterator_that_checks_its_arguments_at_call_time(monkeypatch):
+    G = realize_text("Z12")
+    chains = enumerate_series(G)
+    assert iter(chains) is chains
+    assert next(chains).orders()[0] == 1
+    with pytest.raises(DomainError):
+        enumerate_series(G, limit=0)
+    monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "6")
+    with pytest.raises(CapacityError):
+        enumerate_series(G)
 
 
 def test_enumerate_is_deterministic():
@@ -121,7 +133,7 @@ def test_enumerate_is_deterministic():
 def test_enumerate_length_equals_count():
     for text in ["Z24", "E(2,4)", "S4", "D12", "Q8", "Ab(2^2+1)", "A4xZ2"]:
         G = realize_text(text)
-        chains = enumerate_series(G)
+        chains = list(enumerate_series(G))
         assert len(chains) == count_series(G).value, text
         # chains are pairwise distinct
         keys = {tuple(t.members for t in ch.terms) for ch in chains}
@@ -163,7 +175,7 @@ def test_enumerate_finds_each_terms_children_once(monkeypatch):
         return route(G, members)
 
     monkeypatch.setattr(lattice, "maximal_normal_member_sets", counted)
-    assert len(enumerate_series(realize_text("E(2,4)"))) == 1 * 3 * 7 * 15
+    assert len(list(enumerate_series(realize_text("E(2,4)")))) == 1 * 3 * 7 * 15
     # once per non-trivial subspace of F_2^4
     assert len(calls) == 66 and set(calls.values()) == {1}
 
@@ -177,16 +189,6 @@ def test_count_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_chain_json_shape():
-    ch = enumerate_series(realize_text("Z12"))[0]
-    obj = ch.to_json_obj()
-    assert set(obj) == {"orders", "subgroups"}
-    assert obj["orders"][0] == 1 and obj["orders"][-1] == 12
-    assert obj["subgroups"][0] == [0]
-    assert len(obj["subgroups"][-1]) == 12
-    assert all(isinstance(x, int) for s in obj["subgroups"] for x in s)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def test_factor_orders_s4():
 def test_jordan_holder_shadow():
     """The factor-order multiset is constant across all chains of one group."""
     for text in ["Z48", "E(3,3)", "S4", "D24", "Q8xZ3", "S3xS3"]:
-        chains = enumerate_series(realize_text(text))
+        chains = list(enumerate_series(realize_text(text)))
         ref = composition_factor_orders(chains[0])
         assert all(composition_factor_orders(ch) == ref for ch in chains), text
 
