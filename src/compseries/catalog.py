@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from math import factorial, prod
-
-import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, SpecParseError
 from .formulas import factorize, is_prime
-from .group_core import GroupTable, build_from_generators, table_dtype
+from .group_core import build_from_generators, cyclic_mult, direct_product
 
 
 @dataclass(frozen=True)
@@ -284,23 +281,6 @@ def is_elem_sylow_spec(spec):
 # realization
 
 
-def _cyclic_table(n):
-    ar = np.arange(n, dtype=table_dtype(n))
-    # a - (n - b) lies in [-n, n - 2], inside the index dtype; a + b may not
-    return (ar[:, None] - (n - ar)) % n
-
-
-def _product_table(t1, t2):
-    """Table of the direct product, pairs (a, b) numbered a * |t2| + b."""
-    n1, n2 = t1.shape[0], t2.shape[0]
-    dtype = table_dtype(n1 * n2)
-    prod_t = (
-        t1.astype(dtype, copy=False)[:, None, :, None] * n2
-        + t2.astype(dtype, copy=False)[None, :, None, :]
-    )
-    return prod_t.reshape(n1 * n2, n1 * n2)
-
-
 def _permutation_group(atom, cap):
     """GroupTable of a dihedral, quaternion, symmetric or alternating atom."""
     if isinstance(atom, Dihedral):
@@ -333,11 +313,11 @@ def _permutation_group(atom, cap):
 def _factor_tables(atom, cap):
     """Tables whose direct product, in order, is the atom's table."""
     if isinstance(atom, Cyclic):
-        return [_cyclic_table(atom.n)]
+        return [cyclic_mult(atom.n)]
     if isinstance(atom, ElemAbelian):
-        return [_cyclic_table(atom.p)] * atom.k
+        return [cyclic_mult(atom.p)] * atom.k
     if isinstance(atom, Abelian):
-        return [_cyclic_table(p**e) for p, es in atom.parts for e in es]
+        return [cyclic_mult(p**e) for p, es in atom.parts for e in es]
     return [_permutation_group(atom, cap).mult]
 
 
@@ -353,8 +333,7 @@ def realize(spec, cap=None):
     if isinstance(spec, (Dihedral, QuaternionQ8, Symmetric, Alternating)):
         return _permutation_group(spec, cap)  # validated as it was built
     factors = spec.factors if isinstance(spec, DirectProduct) else (spec,)
-    tables = [t for f in factors for t in _factor_tables(f, cap)]
-    return GroupTable(reduce(_product_table, tables or [_cyclic_table(1)]))
+    return direct_product([t for f in factors for t in _factor_tables(f, cap)])
 
 
 def realize_text(text, cap=None):
@@ -365,6 +344,9 @@ def realize_text(text, cap=None):
 # the standard roster used by the verification suites
 
 
+# Each text is its own canonical name (``print_spec``), so a table realized
+# from a roster spec and one realized from its name number the same group
+# the same way.
 _ROSTER_TEXTS = [
     # cyclic
     "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12", "Z16",
@@ -376,22 +358,22 @@ _ROSTER_TEXTS = [
     "Ab(2^2+1)", "Ab(2^2+2)", "Ab(2^3+1)", "Ab(2^2+1+1)", "Ab(2^3+2)",
     "Ab(3^2+1)", "Ab(3^3+1)", "Ab(5^2+1)", "Ab(2^2+1;3^1)", "Ab(2^2+1;3^1+1)",
     "Ab(2^1+1;3^2)", "Ab(2^3+1;3^1)", "Ab(2^2+2;3^1+1)",
-    "Z4xZ2xZ3", "E(2,2)xZ9", "E(2,3)xE(3,2)", "Z4xZ4", "Z8xZ2", "Z9xZ9",
+    "Z2xZ3xZ4", "E(2,2)xZ9", "E(2,3)xE(3,2)", "Z4xZ4", "Z2xZ8", "Z9xZ9",
     # dihedral / quaternion
     "D6", "D8", "D10", "D12", "D16", "D24", "D32", "D64",
-    "Q8", "Q8xZ2", "Q8xZ3", "Q8xQ8",
+    "Q8", "Z2xQ8", "Z3xQ8", "Q8xQ8",
     # symmetric / alternating and mixed products
     "S3", "S4", "S5", "A4", "A5",
-    "S3xZ2", "S3xZ4", "S3xS3", "S3xZ5", "S4xZ2", "S4xZ3", "S4xE(2,2)",
-    "A4xZ2", "A4xZ3", "A4xA4", "A5xZ2", "A5xE(2,2)", "D8xZ3", "D10xS3",
+    "Z2xS3", "Z4xS3", "S3xS3", "Z5xS3", "Z2xS4", "Z3xS4", "E(2,2)xS4",
+    "Z2xA4", "Z3xA4", "A4xA4", "Z2xA5", "E(2,2)xA5", "Z3xD8", "S3xD10",
 ]
 
 
-def standard_roster(max_order, texts=None):
+def standard_roster(max_order):
     """[(canonical text, spec)] for every roster entry with order <= max_order."""
     out = []
-    for text in texts or _ROSTER_TEXTS:
+    for text in _ROSTER_TEXTS:
         spec = parse_spec(text)
         if spec.order() <= max_order:
-            out.append((print_spec(spec), spec))
+            out.append((text, spec))
     return out

@@ -6,15 +6,19 @@ function of its inputs.  A table's ``mult`` and ``inv`` are read-only; what is
 derived from them is cached on the table when first asked for: ``_rows`` and
 ``_inv_list`` here, ``_normal_cache`` (the normal lattice) by ``lattice`` and
 ``_series_count`` by ``series``.
+
+This is the one module that imports numpy, and only inside the functions
+that build or validate a table (``GroupTable``, ``table_dtype``,
+``cyclic_mult``).  Importing numpy takes about 0.1 s, most of the package's
+import time, and the bound, the sweep, the catalog and the formula counts
+build no table, so a run pays for numpy only when it realizes a group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, count
-
-import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError
@@ -27,6 +31,8 @@ _SMALL_N = 1024
 
 def table_dtype(n):
     """Index dtype of an order-n table: int16 up to order 32,767, int32 above."""
+    import numpy as np
+
     return np.int16 if n <= 2**15 - 1 else np.int32
 
 
@@ -40,6 +46,8 @@ class GroupTable:
     """
 
     def __init__(self, mult):
+        import numpy as np
+
         mult = np.asarray(mult)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise DomainError("multiplication table must be square")
@@ -62,6 +70,8 @@ class GroupTable:
         self._validate()
 
     def _validate(self):
+        import numpy as np
+
         n = self.order
         mult, inv = self.mult, self.inv
         ar = np.arange(n, dtype=mult.dtype)
@@ -76,9 +86,16 @@ class GroupTable:
         if not np.all(mult[ar, inv] == 0):
             raise DomainError("inverse law violated")
         if n <= config.ASSOC_FULL_CHECK_CAP:
+            # one set of n x n buffers for every a: past malloc's mmap
+            # threshold, a fresh set each time costs an mmap and its page
+            # faults per buffer, which can outweigh the comparisons
+            left, right = np.empty_like(mult), np.empty_like(mult)
+            same = np.empty((n, n), dtype=bool)
             for a in range(n):
-                # (a*b)*c vs a*(b*c) for all b, c
-                if not np.array_equal(mult[mult[a]], mult[a][mult]):
+                # (a*b)*c vs a*(b*c) for all b, c; every index is in range
+                np.take(mult, mult[a], axis=0, out=left, mode="clip")
+                np.take(mult[a], mult, out=right, mode="clip")
+                if not np.equal(left, right, out=same).all():
                     raise DomainError(f"associativity fails with left factor {a}")
         else:
             rng = np.random.default_rng(0)
@@ -107,7 +124,7 @@ class GroupTable:
 
     @cached_property
     def is_abelian(self):
-        return bool(np.array_equal(self.mult, self.mult.T))
+        return bool((self.mult == self.mult.T).all())
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
@@ -282,13 +299,38 @@ def build_from_generators(n_points, generators, cap=None):
                     )
                 index[p] = len(elems)
                 elems.append(p)
-    n = len(elems)
-    mult = np.empty((n, n), dtype=table_dtype(n))
-    for a, ea in enumerate(elems):
-        row = mult[a]
-        for b, eb in enumerate(elems):
-            row[b] = index[tuple(ea[eb[x]] for x in range(n_points))]
-    return GroupTable(mult)
+    points = range(n_points)
+    return GroupTable(
+        [[index[tuple(ea[eb[x]] for x in points)] for eb in elems] for ea in elems]
+    )
+
+
+def cyclic_mult(n):
+    """Multiplication table of the cyclic group Z_n: a * b = (a + b) mod n."""
+    import numpy as np
+
+    ar = np.arange(n, dtype=table_dtype(n))
+    # a - (n - b) lies in [-n, n - 2], inside the index dtype; a + b may not
+    return (ar[:, None] - (n - ar)) % n
+
+
+def direct_product(mults):
+    """GroupTable of the direct product of the tables ``mults``, in order.
+
+    Tuples are numbered lexicographically: the pair (a, b) of two factors is
+    a * |second| + b.  No factors give the trivial group.
+    """
+    return GroupTable(reduce(_product_mult, mults or [cyclic_mult(1)]))
+
+
+def _product_mult(t1, t2):
+    n1, n2 = t1.shape[0], t2.shape[0]
+    dtype = table_dtype(n1 * n2)
+    prod_t = (
+        t1.astype(dtype, copy=False)[:, None, :, None] * n2
+        + t2.astype(dtype, copy=False)[None, :, None, :]
+    )
+    return prod_t.reshape(n1 * n2, n1 * n2)
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,18 @@ def test_realized_tables_keep_their_numbering():
     def digest(G):
         return hashlib.sha256(str(G.mult.dtype).encode() + G.mult.tobytes()).hexdigest()
 
-    # realized afresh: the shared fixture tables may number a product in
-    # another factor order than its roster text
     lines = [f"{name} {digest(realize(spec))}\n" for name, spec in standard_roster(4096)]
     lines.append(f"A5xS4 {digest(realize_text('A5xS4'))}\n")
     # one digest per table, of its index dtype and its multiplication table,
     # as every table read when products were built in int64 and cast down
     combined = hashlib.sha256("".join(lines).encode()).hexdigest()
-    assert combined == "3348e355a435f24c9c1cd60020f08e0126d0ccca8769000031ea680a9cdd0d91"
+    assert combined == "0f2318d70b30a5243786f126676b5aed5b8be8037fbfc337972aa741f5e2eb37"
+
+
+def test_roster_specs_and_names_realize_one_numbering():
+    # tables are shared under their canonical name, whichever route realized them
+    for name, spec in standard_roster(4096):
+        assert np.array_equal(realize(spec).mult, realize_text(name).mult), name
 
 
 @pytest.mark.parametrize(
@@ -225,7 +229,7 @@ def test_roster_orders_match_arithmetic():
     assert len(roster) > 60
     for name, spec in roster:
         assert spec.order() <= 4096
-        assert print_spec(spec) == name
+        assert print_spec(spec) == name  # each roster text is canonical
 
 
 def test_roster_realized_orders(roster_tables):

@@ -565,3 +565,43 @@ def test_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["count"] == "3"
+
+
+# Imports the package and the CLI in a fresh interpreter, runs the commands
+# given as JSON in argv[1], then `count --group S4`, and prints whether numpy
+# was loaded after each step, with the exit codes.
+COLD_START_CODE = (
+    "import contextlib, io, json, sys\n"
+    "import compseries, compseries.cli\n"
+    "seen = {'import': 'numpy' in sys.modules}\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    seen['codes'] = [compseries.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "    seen['table_free'] = 'numpy' in sys.modules\n"
+    "    seen['s4_code'] = compseries.cli.main(['count', '--group', 'S4'])\n"
+    "seen['s4'] = 'numpy' in sys.modules\n"
+    "print(json.dumps(seen))\n"
+)
+
+
+def test_table_free_commands_never_load_numpy():
+    commands = [
+        (["bound", "64"], 0),
+        (["sweep", "--max-n", "1000"], 0),
+        (["catalog", "list", "--max-order", "64"], 0),
+        (["count", "--group", "E(2,6)"], 0),  # by formula
+        (["count", "--group", "Q9"], 2),
+        (["bound", str(2**1100)], 4),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_CODE, json.dumps([argv for argv, _ in commands])],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert not seen["import"]
+    assert seen["codes"] == [code for _, code in commands]
+    assert not seen["table_free"]
+    # the first table loads it, so the checks above cannot pass vacuously
+    assert seen["s4_code"] == 0 and seen["s4"]
