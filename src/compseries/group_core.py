@@ -4,7 +4,8 @@ Elements are indices 0..N-1 with the identity fixed at index 0.  Subgroups are
 immutable member tuples backed by a bit mask.  Everything here is a pure
 function of its inputs.  A table's ``mult`` and ``inv`` are read-only; what is
 derived from them is cached on the table when first asked for: ``_rows`` and
-``_inv_list`` here, ``_normal_cache`` (the normal lattice) by ``lattice`` and
+``_inv_list`` here, ``_normal_cache`` (the normal lattice) and ``_slices``
+(the coordinate slices of an elementary abelian 2-group) by ``lattice``, and
 ``_series_count`` by ``series``.
 
 This is the one module that imports numpy, and only inside the functions
@@ -66,6 +67,7 @@ class GroupTable:
         self._rows = None
         self._inv_list = None
         self._normal_cache = None
+        self._slices = None
         self._series_count = None
         self._validate()
 
@@ -415,7 +417,10 @@ def derived_members(G, members):
 
 
 def is_abelian_members(G, members):
-    """True iff the subgroup ``members`` is abelian: its generators commute."""
+    """True iff the subgroup ``members`` is abelian: its generators commute.
+
+    ``members`` is not read when G itself is abelian.
+    """
     if G.is_abelian:
         return True
     rows = G.rows()

@@ -13,15 +13,19 @@ Two algorithms live here:
   skips an atom that lies in one of its prime-index covers, which it has
   already found.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
-  For a solvable subgroup H every maximal normal subgroup has prime index,
-  so they are exactly the kernels of maps onto Z_p: the hyperplanes of the
-  elementary abelian quotient H / (H' * H^p), whose cosets are read off the
-  parent's own table (H' is trivial when H is abelian).  Non-solvable
-  subgroups fall back to the class-join lattice, which is tiny for groups
-  with no abelian bulk.  The subgroups come back as bit masks.  For p = 2
-  each hyperplane costs one big-int XOR: the members are sliced by the bits
-  of their coordinates once, and the maps onto Z_2 are walked in Gray-code
-  order, so consecutive kernels differ by one slice.
+  It takes and returns subgroups as bit masks.  For a solvable subgroup H
+  every maximal normal subgroup has prime index, so they are exactly the
+  kernels of maps onto Z_p: the hyperplanes of the elementary abelian
+  quotient H / (H' * H^p), whose cosets are read off the parent's own table
+  (H' is trivial when H is abelian).  Non-solvable subgroups fall back to
+  the class-join lattice, which is tiny for groups with no abelian bulk.
+  For p = 2 each hyperplane costs one big-int XOR: the members are sliced by
+  the bits of their coordinates, and the maps onto Z_2 are walked in
+  Gray-code order, so consecutive kernels differ by one slice.  When the
+  parent is itself an elementary abelian 2-group F_2^n, its n coordinate
+  slices are built once per table; the maps H -> Z_2 are spanned by the
+  slices cut down to H's mask, so XOR elimination of those n masks gives
+  H's slices in O(n * dim H) big-int operations, without H's members.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def maximal_normal_subgroups(G):
     """Proper normal subgroups maximal under inclusion among proper normals."""
     if G.order < 2:
         raise DomainError("the trivial group has no maximal normal subgroup")
-    masks = maximal_normal_member_sets(G, tuple(range(G.order)))
+    masks = maximal_normal_member_sets(G, (1 << G.order) - 1)
     subs = [Subgroup(G, members_of(m)) for m in masks]
     return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
 
@@ -179,15 +183,22 @@ def maximal_subgroups_count(G):
 # maximal normal subgroups of a subgroup, the series recursion workhorse
 
 
-def maximal_normal_member_sets(G, members):
-    """Maximal normal subgroups of the ascending subgroup ``members``.
+def maximal_normal_member_sets(G, mask):
+    """Maximal normal subgroups of the subgroup H of bit mask ``mask``.
 
     Returns one bit mask per subgroup, distinct and in no particular order;
     ``members_of`` turns a mask back into its member tuple.  The series
     recursion looks its children up by mask and builds members only for the
-    subgroups it has not seen.
+    subgroups it has not seen.  On an elementary abelian 2-group table H's
+    members are never built: the hyperplanes come from the table's coordinate
+    slices cut down to H.
     """
+    slices = _coordinate_slices(G)
+    # an abelian G answers is_abelian_members without reading the members
+    members = None if slices else members_of(mask)
     if is_abelian_members(G, members):
+        if slices:
+            return _gray_kernels(mask, _xor_basis([s & mask for s in slices]))
         return _prime_index_masks(G, members, (0,))
     d = derived_members(G, members)
     # H is solvable iff H' is
@@ -195,6 +206,70 @@ def maximal_normal_member_sets(G, members):
         return _prime_index_masks(G, members, d)
     out = _maximal_among(normal_member_sets(G, members), len(members))
     return [mask_of(m) for m in out]
+
+
+def _coordinate_slices(G):
+    """G's coordinate slices when G is an elementary abelian 2-group, else [].
+
+    G is then F_2^n, and slice j is the bit mask of the elements whose
+    coordinate j is 1.  Cached on the table as ``G._slices``.
+    """
+    if G._slices is None:
+        n = G.order
+        if n > 1 and G.is_abelian and all(x == i for x, i in enumerate(G.inv_list())):
+            # every element is its own coset of the trivial subgroup
+            rank, coords = _elem_abelian_coords(G, range(n), range(n), 2)
+            G._slices = _bit_slices(range(n), coords, range(n), rank)
+        else:
+            G._slices = []
+    return G._slices
+
+
+def _bit_slices(members, coords, coset_of, rank):
+    """Slice j: the bit mask of the ``members`` x whose coordinate has bit j set.
+
+    ``coords`` maps each coset label to the ascending tuple of its non-zero
+    positions, and ``coset_of`` maps each member to its coset label.
+    """
+    slices = [0] * rank
+    for x in members:
+        bx = 1 << x
+        for j in coords[coset_of[x]]:
+            slices[j] |= bx
+    return slices
+
+
+def _xor_basis(vectors):
+    """A basis of the span over F_2 of the bit masks ``vectors``, by XOR elimination.
+
+    Each vector v is reduced by the basis so far, in order: v ^ b < v exactly
+    when v has b's leading bit, and no later basis vector has that bit, since
+    each was reduced by b in turn.  So the leading bits of the basis are
+    distinct, and v is in the span iff it reduces to 0.
+    """
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return basis
+
+
+def _gray_kernels(hmask, slices):
+    """Kernels of the non-zero maps H -> Z_2 whose odd sets ``slices`` span.
+
+    ``hmask`` is H's bit mask, and ``slices`` are the odd sets of a basis of
+    the maps: ker phi is H minus the members x where phi(x) = 1.  phi runs
+    over F_2^d in Gray-code order, so step i flips the bit of i's lowest set
+    bit, and each odd set is one XOR of a slice into the previous one.
+    """
+    out = []
+    odd = 0
+    for i in range(1, 1 << len(slices)):
+        odd ^= slices[(i & -i).bit_length() - 1]
+        out.append(hmask ^ odd)
+    return out
 
 
 def _prime_index_masks(G, members, d):
@@ -226,20 +301,8 @@ def _prime_index_masks(G, members, d):
                 reps.append(x)
         d_rank, coords = _elem_abelian_coords(G, reps, coset_of, p)
         if p == 2:
-            # bit slice j: the members whose coordinate has bit j set
-            slices = [0] * d_rank
-            for x in members:
-                bx = 1 << x
-                for j in coords[coset_of[x]]:
-                    slices[j] |= bx
-            # phi runs over F_2^d in Gray-code order, so step i flips the bit
-            # of i's lowest set bit; ker phi is H minus the members x with
-            # odd parity of c(x) & phi, the XOR of the slices phi selects
-            hmask = mask_of(members)
-            odd = 0
-            for i in range(1, 1 << d_rank):
-                odd ^= slices[(i & -i).bit_length() - 1]
-                out.append(hmask ^ odd)
+            slices = _bit_slices(members, coords, coset_of, d_rank)
+            out += _gray_kernels(mask_of(members), slices)
         else:
             mz = [(x, coords[coset_of[x]]) for x in members]
             for lead in range(d_rank):

@@ -2,11 +2,13 @@
 
 The count recursion is c(trivial) = 1 and c(H) = sum of c(M) over the maximal
 normal subgroups M of H, memoized by the member bit mask of H inside the
-top-level parent.  The recursion is walked on masks: the maximal normal
-subgroups come back as masks, and the member tuple of a subgroup is built
-only on a memo miss.  Enumeration runs the same recursion as a lazy DFS with
-children visited in (order, members) order, so output order is reproducible;
-it finds the children of each subgroup once and yields chains one at a time.
+top-level parent.  The recursion is walked on masks alone: the maximal
+normal subgroups of a mask come back as masks, each child is looked up in the
+memo before it is recursed into, and the lattice routine builds a member
+tuple only where its route needs one.  Enumeration runs the same recursion
+as a lazy DFS with children visited in (order, members) order, so output
+order is reproducible; it finds the children of each subgroup once and
+yields chains one at a time.
 """
 
 from __future__ import annotations
@@ -65,24 +67,24 @@ def count_series(G):
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
     # the memo starts with c(trivial) = 1; the trivial subgroup's mask is 1
-    value = _count(G, (1 << G.order) - 1, {1: 1})
+    value = 1 if G.order == 1 else _count(G, (1 << G.order) - 1, {1: 1})
     G._series_count = value
     return SeriesCount(value, "brute-force")
 
 
 def _count(G, mask, memo):
-    """c(H) for the subgroup of bit mask ``mask``, memoized by mask.
+    """c(H) for the non-trivial subgroup H of bit mask ``mask``, not yet in ``memo``.
 
-    H's members are built only on a memo miss.  A module-level function, not
-    a closure over ``memo``, so that the memo is freed as soon as the count
-    returns.
+    Each child is looked up in the memo before it is recursed into, and the
+    result is stored under ``mask``.  A module-level function, not a closure
+    over ``memo``, so that the memo is freed as soon as the count returns.
     """
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
     total = 0
-    for child in lattice.maximal_normal_member_sets(G, members_of(mask)):
-        total += _count(G, child, memo)
+    for child in lattice.maximal_normal_member_sets(G, mask):
+        c = memo.get(child)
+        if c is None:
+            c = _count(G, child, memo)
+        total += c
     memo[mask] = total
     return total
 
@@ -101,7 +103,7 @@ def _chain_walk(G, top, interned, children):
     kids = children.get(top.mask)
     if kids is None:
         kids = []
-        for mask in lattice.maximal_normal_member_sets(G, top.members):
+        for mask in lattice.maximal_normal_member_sets(G, top.mask):
             child = interned.get(mask)
             if child is None:
                 child = interned[mask] = Subgroup(G, members_of(mask))

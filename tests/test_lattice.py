@@ -178,7 +178,7 @@ def test_fast_maximal_path_matches_lattice_filter():
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
         full = tuple(range(G.order))
-        fast = set(maximal_normal_member_sets(G, full))
+        fast = set(maximal_normal_member_sets(G, mask_of(full)))
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, full), G.order)
@@ -192,7 +192,7 @@ def test_maximal_member_sets_of_proper_subgroups():
     for H in all_subgroups(G):
         if H.order == 1:
             continue
-        fast = set(maximal_normal_member_sets(G, H.members))
+        fast = set(maximal_normal_member_sets(G, H.mask))
         slow = {
             mask_of(m)
             for m in _maximal_among(normal_member_sets(G, H.members), H.order)
@@ -202,7 +202,7 @@ def test_maximal_member_sets_of_proper_subgroups():
 
 def _assert_route_matches_lattice(G, members, label):
     """maximal_normal_member_sets vs the maximal proper normal subgroups."""
-    masks = maximal_normal_member_sets(G, members)
+    masks = maximal_normal_member_sets(G, mask_of(members))
     assert len(set(masks)) == len(masks), label
     got = sorted(members_of(m) for m in masks)
     ref = _maximal_among(normal_member_sets(G, members), len(members))
@@ -226,7 +226,8 @@ def test_prime_index_route_on_every_subgroup_of_abelian_roster(roster_tables):
     """Every non-trivial subgroup of each abelian roster group of order <= 64.
 
     Covers K = H^p > 1 (Z4xZ4, Ab(2^3+2), Z2xZ8) and odd p (E(3,3), E(5,2));
-    E(2,6) alone would add 2,824 subgroups of one shape.
+    E(2,6) alone would add 2,824 subgroups of one shape, and its slice route
+    is checked against the coset route in ``test_slice_route_on_every_subgroup_of_e26``.
     """
     checked = 0
     for name, _, G in roster_tables:
@@ -237,6 +238,40 @@ def test_prime_index_route_on_every_subgroup_of_abelian_roster(roster_tables):
                 _assert_route_matches_lattice(G, H.members, (name, H.members))
                 checked += 1
     assert checked == 773
+
+
+def test_slice_route_on_every_subgroup_of_e26(realized):
+    """The coordinate-slice route vs the coset route on all 2,824 non-trivial
+    subgroups of E(2,6)."""
+    G = realized("E(2,6)")
+    assert len(lattice._coordinate_slices(G)) == 6
+    checked = 0
+    for H in all_subgroups(G):
+        if H.order > 1:
+            got = maximal_normal_member_sets(G, H.mask)
+            assert len(set(got)) == len(got) == H.order - 1, H.members
+            assert set(got) == set(lattice._prime_index_masks(G, H.members, (0,))), H.members
+            checked += 1
+    assert checked == 2824
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_elementary_abelian_table_has_k_coordinate_slices(k):
+    G = realize_text(f"E(2,{k})")
+    slices = lattice._coordinate_slices(G)
+    assert len(slices) == k
+    # x -> its coordinate vector is an isomorphism onto F_2^k
+    coord = [sum((s >> x & 1) << j for j, s in enumerate(slices)) for x in range(G.order)]
+    assert sorted(coord) == list(range(G.order))
+    rows = G.rows()
+    assert all(
+        coord[rows[x][y]] == coord[x] ^ coord[y] for x in range(G.order) for y in range(G.order)
+    )
+
+
+@pytest.mark.parametrize("text", ["Z1", "Z4", "Z2xZ4", "E(3,3)", "S3", "D8"])
+def test_other_tables_have_no_coordinate_slices(text):
+    assert lattice._coordinate_slices(realize_text(text)) == []
 
 
 @pytest.mark.parametrize(
@@ -261,7 +296,7 @@ def test_prime_index_route_needs_the_derived_subgroup():
     assert G.order == 27
     full = tuple(range(27))
     _assert_route_matches_lattice(G, full, "Heisenberg(3)")
-    assert len(maximal_normal_member_sets(G, full)) == 4
+    assert len(maximal_normal_member_sets(G, mask_of(full))) == 4
 
 
 # ---------------------------------------------------------------------------

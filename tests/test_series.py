@@ -170,14 +170,40 @@ def test_enumerate_finds_each_terms_children_once(monkeypatch):
     calls = Counter()
     route = lattice.maximal_normal_member_sets
 
-    def counted(G, members):
-        calls[members] += 1
-        return route(G, members)
+    def counted(G, mask):
+        calls[mask] += 1
+        return route(G, mask)
 
     monkeypatch.setattr(lattice, "maximal_normal_member_sets", counted)
     assert len(list(enumerate_series(realize_text("E(2,4)")))) == 1 * 3 * 7 * 15
     # once per non-trivial subspace of F_2^4
     assert len(calls) == 66 and set(calls.values()) == {1}
+
+
+def test_count_e26_walks_each_subspace_once(monkeypatch):
+    """One maximal-normal call per non-trivial subspace of F_2^6, each returning
+    its 2^d - 1 hyperplanes, with one truthy abelian test inside it."""
+    routine, is_abelian = lattice.maximal_normal_member_sets, lattice.is_abelian_members
+    children, inner = [], []
+
+    def counted_routine(G, mask):
+        inner.append([])
+        out = routine(G, mask)
+        children.append(len(out))
+        return out
+
+    def counted_is_abelian(G, members):
+        flag = is_abelian(G, members)
+        inner[-1].append(flag)
+        return flag
+
+    monkeypatch.setattr(lattice, "maximal_normal_member_sets", counted_routine)
+    monkeypatch.setattr(lattice, "is_abelian_members", counted_is_abelian)
+    assert count_series(realize_text("E(2,6)")).value == 615195
+    assert len(children) == 2824
+    # sum over d of [6 choose d]_2 * (2^d - 1)
+    assert sum(children) == 23562
+    assert all(flags == [True] for flags in inner)
 
 
 def test_count_leaves_no_reference_cycles():
