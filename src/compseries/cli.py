@@ -119,7 +119,7 @@ def _load_group(args):
             raise SpecParseError(
                 "group file field 'generators' must be a list of lists of integers"
             )
-        G = group_core.build_from_generators(points, gens, cap=args.element_cap)
+        G = group_core.build_from_generators(points, gens)
         source = "file-sha256:" + hashlib.sha256(data).hexdigest()
         return f"file:{args.group_file}", source, G, None
     if not getattr(args, "group", None):
@@ -229,7 +229,7 @@ def cmd_count(args):
         values[formula[1]] = formula[0]
     if want_brute:
         if G is None:
-            G = catalog.realize(spec, cap=args.element_cap)
+            G = catalog.realize(spec)
         values["brute-force"] = series.count_series(G).value
     report = _base_report("count", {"group": name, "mode": args.mode}, t0)
     report["result"] = {
@@ -275,7 +275,7 @@ def cmd_enumerate(args):
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
     if G is None:
-        G = catalog.realize(spec, cap=args.element_cap)
+        G = catalog.realize(spec)
     lines = _chain_lines(series.enumerate_series(G, limit=args.limit))
     if args.output:
         sink = open(args.output, "w")
@@ -365,7 +365,7 @@ def cmd_lattice(args):
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
     if G is None:
-        G = catalog.realize(spec, cap=args.element_cap)
+        G = catalog.realize(spec)
     if args.what == "subgroups":
         subs = lattice.all_subgroups(G)
     elif args.what == "normal":
@@ -465,7 +465,9 @@ def main(argv=None):
             args.element_cap = config.element_cap()
         else:
             config.check_element_cap(args.element_cap, "--element-cap")
-        return args.func(args)
+        # every cap check of the call, the oracle's included, reads the flag
+        with config.element_cap_in_force(args.element_cap):
+            return args.func(args)
     except SpecParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)

@@ -1,12 +1,17 @@
-"""Size caps.  The element cap is overridable through COMPSERIES_ELEMENT_CAP."""
+"""Size caps.  The element cap is overridable through COMPSERIES_ELEMENT_CAP,
+and inside a ``cli.main`` call through its ``--element-cap`` flag."""
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import DomainError, SpecParseError
 
 DEFAULT_ELEMENT_CAP = 4096
 
-# all_subgroups suffers combinatorial blowup; the normal-subgroup closure does not.
+# all_subgroups suffers combinatorial blowup, and so does the normal-subgroup
+# closure of an abelian group, whose normal lattice is its whole subgroup
+# lattice; only all_subgroups is held to this cap.
 SUBGROUP_ENUM_CAP = 256
 
 # Full N^3 associativity verification below this order, random triples above.
@@ -20,7 +25,14 @@ DEFAULT_SWEEP_CAP = 10**12
 BOUND_LOG2_CAP = 1024
 
 
+# the cap set by element_cap_in_force, outranking the environment
+_cap_in_force = ContextVar("element_cap", default=None)
+
+
 def element_cap():
+    cap = _cap_in_force.get()
+    if cap is not None:
+        return cap
     raw = os.environ.get("COMPSERIES_ELEMENT_CAP")
     if not raw:
         return DEFAULT_ELEMENT_CAP
@@ -38,3 +50,13 @@ def check_element_cap(cap, source):
     if cap < 1:
         raise DomainError(f"{source} must be positive, got {cap}")
     return cap
+
+
+@contextmanager
+def element_cap_in_force(cap):
+    """Make ``cap`` the element cap inside the block; restore the previous one after."""
+    token = _cap_in_force.set(cap)
+    try:
+        yield
+    finally:
+        _cap_in_force.reset(token)

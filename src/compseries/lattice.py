@@ -19,19 +19,21 @@ Two algorithms live here:
   quotient H / (H' * H^p), whose cosets are read off the parent's own table
   (H' is trivial when H is abelian).  Non-solvable subgroups fall back to
   the class-join lattice, which is tiny for groups with no abelian bulk.
-  For p = 2 each hyperplane costs one big-int XOR: the members are sliced by
-  the bits of their coordinates, and the maps onto Z_2 are walked in
-  Gray-code order, so consecutive kernels differ by one slice.  When the
-  parent is itself an elementary abelian 2-group F_2^n, its n coordinate
-  slices are built once per table; the maps H -> Z_2 are spanned by the
-  slices cut down to H's mask, so XOR elimination of those n masks gives
-  H's slices in O(n * dim H) big-int operations, without H's members.
+  One loop serves every prime: each coset of H' * H^p gets a bit mask and
+  a coordinate vector, and each hyperplane is the OR of the masks of the
+  cosets it contains.  When the parent is itself an elementary abelian
+  2-group F_2^n, its n coordinate slices are built once per table; the maps
+  H -> Z_2 are spanned by the slices cut down to H's mask, so XOR
+  elimination of those n masks gives H's slices in O(n * dim H) big-int
+  operations, without H's members, and the maps are walked in Gray-code
+  order, so each hyperplane costs one big-int XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import mul
 
 from . import config
 from .errors import CapacityError, DomainError
@@ -219,24 +221,10 @@ def _coordinate_slices(G):
         if n > 1 and G.is_abelian and all(x == i for x, i in enumerate(G.inv_list())):
             # every element is its own coset of the trivial subgroup
             rank, coords = _elem_abelian_coords(G, range(n), range(n), 2)
-            G._slices = _bit_slices(range(n), coords, range(n), rank)
+            G._slices = [mask_of(x for x in range(n) if coords[x][j]) for j in range(rank)]
         else:
             G._slices = []
     return G._slices
-
-
-def _bit_slices(members, coords, coset_of, rank):
-    """Slice j: the bit mask of the ``members`` x whose coordinate has bit j set.
-
-    ``coords`` maps each coset label to the ascending tuple of its non-zero
-    positions, and ``coset_of`` maps each member to its coset label.
-    """
-    slices = [0] * rank
-    for x in members:
-        bx = 1 << x
-        for j in coords[coset_of[x]]:
-            slices[j] |= bx
-    return slices
 
 
 def _xor_basis(vectors):
@@ -279,70 +267,50 @@ def _prime_index_masks(G, members, d):
     subgroup when H is abelian.  For each prime p of |H/d| the normal
     subgroups of index p are the kernels of the maps onto Z_p, i.e. the
     hyperplanes of the elementary abelian quotient H / K with K = d * H^p.
-    For solvable H these are all the maximal normal subgroups.  ``members``
-    is ascending, so that each coset of K is labelled by its least member.
+    For solvable H these are all the maximal normal subgroups.  One walk
+    over ``members``, which is ascending, labels each coset of K by its
+    least member and builds the coset's bit mask; the kernel of each map
+    phi, normalized so that its first non-zero coordinate is 1, is the OR
+    of the masks of the cosets that phi sends to 0.
     """
     rows = G.rows()
     out = []
     for p, _ in prime_exponents(len(members) // len(d)):
-        if p == 2:
-            powers = {rows[x][x] for x in members}
-        else:
-            powers = {element_power(G, x, p) for x in members}
+        powers = {element_power(G, x, p) for x in members}
         # K = d when every p-th power is trivial, as in an elementary abelian H
         kernel = d if len(powers) == 1 else close_members(G, (*d, *powers))
         coset_of = {}
-        reps = []
-        for x in members:  # x is the least member of a new coset
+        masks = {}  # least member -> bit mask of its coset
+        for x in members:
             if x not in coset_of:
                 rx = rows[x]
-                for t in kernel:
-                    coset_of[rx[t]] = x
-                reps.append(x)
-        d_rank, coords = _elem_abelian_coords(G, reps, coset_of, p)
-        if p == 2:
-            slices = _bit_slices(members, coords, coset_of, d_rank)
-            out += _gray_kernels(mask_of(members), slices)
-        else:
-            mz = [(x, coords[coset_of[x]]) for x in members]
-            for lead in range(d_rank):
-                for rest in iproduct(range(p), repeat=d_rank - lead - 1):
-                    phi = (0,) * lead + (1,) + rest
-                    msk = 0
-                    for x, c in mz:
-                        if sum(ci * fi for ci, fi in zip(c, phi)) % p == 0:
-                            msk |= 1 << x
-                    out.append(msk)
+                coset = [rx[t] for t in kernel]
+                coset_of.update(dict.fromkeys(coset, x))
+                masks[x] = mask_of(coset)
+        rank, coords = _elem_abelian_coords(G, list(masks), coset_of, p)
+        cosets = [(coords[x], m) for x, m in masks.items()]
+        for lead in range(rank):
+            for rest in iproduct(range(p), repeat=rank - lead - 1):
+                phi = (0,) * lead + (1,) + rest
+                msk = 0
+                for c, m in cosets:
+                    if not sum(map(mul, c, phi)) % p:
+                        msk |= m
+                out.append(msk)
     return out
 
 
 def _elem_abelian_coords(G, reps, coset_of, p):
-    """Coordinates of the elementary abelian quotient spanned by ``reps``.
+    """Coordinates of the elementary abelian p-group quotient spanned by ``reps``.
 
-    Returns (rank, coords) where coords maps each rep to its coordinate vector:
-    for p = 2 the ascending tuple of its non-zero positions, otherwise the
-    tuple of its residues.  Basis vectors
-    are picked greedily in rep order, so the assignment is deterministic.
+    ``coset_of`` maps each element to the rep of its coset, and ``reps``
+    holds one rep per coset, the identity's first.  Returns (rank, coords)
+    where coords maps each rep to the tuple of its residues mod p.  Basis
+    vectors are picked greedily in rep order, so the assignment is
+    deterministic.
     """
     q = len(reps)
     rows = G.rows()
-
-    def qmul(a, b):
-        return coset_of[rows[a][b]]
-
-    if p == 2:
-        coords = {0: ()}
-        d = 0
-        for g in reps:
-            if g in coords:
-                continue
-            for r, c in list(coords.items()):
-                coords[qmul(r, g)] = c + (d,)
-            d += 1
-            if len(coords) == q:
-                break
-        return d, coords
-
     coords = {0: ()}
     d = 0
     for g in reps:
@@ -352,7 +320,7 @@ def _elem_abelian_coords(G, reps, coset_of, p):
             c = c + (0,) * (d - len(c))
             cur = r
             for j in range(1, p):
-                cur = qmul(cur, g)
+                cur = coset_of[rows[cur][g]]
                 coords[cur] = c + (j,)
         d += 1
         if len(coords) == q:

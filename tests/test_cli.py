@@ -11,7 +11,7 @@ from decimal import Decimal
 import pytest
 
 import compseries
-from compseries import bounds, catalog, cli, formulas, series
+from compseries import bounds, catalog, cli, config, formulas, series
 
 try:
     import tomllib
@@ -202,6 +202,33 @@ def test_non_positive_element_cap_exits_1(capsys, monkeypatch, env, argv):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "must be positive" in err
     assert len(err.splitlines()) == 1
+
+
+def test_element_cap_flag_outranks_the_environment_in_count(capsys, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "8")
+    code, rep, err = run_json(
+        capsys, "--element-cap", "100", "count", "--group", "S4", "--mode", "brute"
+    )
+    assert code == 0, err
+    assert rep["result"]["count"] == "3"
+
+
+def test_element_cap_flag_outranks_the_environment_in_enumerate(capsys, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "8")
+    code, out, err = run(capsys, "--element-cap", "100", "enumerate", "--group", "S4")
+    assert code == 0, err
+    assert len(out.splitlines()) == 3
+
+
+def test_element_cap_flag_outranks_the_environment_in_lattice(capsys, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "8")
+    code, rep, err = run_json(
+        capsys, "--element-cap", "100", "lattice", "--group", "S4", "--what", "normal"
+    )
+    assert code == 0, err
+    assert rep["result"]["count"] == 4
+    # the flag holds for the one call only
+    assert config.element_cap() == 8
 
 
 def test_missing_group_argument_exits_2(capsys):

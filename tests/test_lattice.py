@@ -223,21 +223,23 @@ def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables
 
 
 def test_prime_index_route_on_every_subgroup_of_abelian_roster(roster_tables):
-    """Every non-trivial subgroup of each abelian roster group of order <= 64.
+    """Every non-trivial subgroup of each abelian roster group of order <= 64,
+    81 or 125.
 
-    Covers K = H^p > 1 (Z4xZ4, Ab(2^3+2), Z2xZ8) and odd p (E(3,3), E(5,2));
-    E(2,6) alone would add 2,824 subgroups of one shape, and its slice route
-    is checked against the coset route in ``test_slice_route_on_every_subgroup_of_e26``.
+    Covers K = H^p > 1 (Z4xZ4, Ab(2^3+2), Z2xZ8, Z9xZ9, Ab(5^2+1)) and odd p
+    up to rank 4 (E(3,4), E(5,3)); E(2,6) alone would add 2,824 subgroups of
+    one shape, and its slice route is checked against the coset route in
+    ``test_slice_route_on_every_subgroup_of_e26``.
     """
     checked = 0
     for name, _, G in roster_tables:
-        if G.order > 64 or not G.is_abelian or name == "E(2,6)":
+        if not G.is_abelian or name == "E(2,6)" or G.order > 64 and G.order not in (81, 125):
             continue
         for H in all_subgroups(G):
             if H.order > 1:
                 _assert_route_matches_lattice(G, H.members, (name, H.members))
                 checked += 1
-    assert checked == 773
+    assert checked == 773 + 322
 
 
 def test_slice_route_on_every_subgroup_of_e26(realized):
