@@ -13,12 +13,12 @@ from .group_core import (
     conjugacy_classes,
     generated_subgroup,
     is_normal,
-    is_simple,
     quotient,
 )
 from .lattice import (
     SubgroupSet,
     all_subgroups,
+    is_simple,
     maximal_normal_subgroups,
     maximal_subgroups_count,
     normal_subgroups,

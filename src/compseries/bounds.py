@@ -11,6 +11,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import factorial, isqrt, prod
 
@@ -56,18 +57,15 @@ class InequalityParams:
     """Exponent/prime bookkeeping shared by the step-3 inequalities.
 
     alpha1 >= 0 and alpha_r >= 1 are the 2-part and odd-part exponents, p the
-    odd prime, k = floor(log2 p^alpha_r), s the sum of the exponents below the
-    top prime, a = s - alpha1 and b = k - alpha_r.  The pair (p=3, alpha_r=1)
-    is the excluded degenerate case.
+    odd prime and s the sum of the exponents below the top prime; derived are
+    k = floor(log2 p^alpha_r), a = s - alpha1 and b = k - alpha_r.  The pair
+    (p=3, alpha_r=1) is the excluded degenerate case.
     """
 
     alpha1: int
     alpha_r: int
     p: int
-    k: int
     s: int
-    a: int
-    b: int
 
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
@@ -76,19 +74,26 @@ class InequalityParams:
             raise DomainError("need alpha1 >= 0 and alpha_r >= 1")
         if self.p == 3 and self.alpha_r == 1:
             raise DomainError("the case p = 3 with alpha_r = 1 is excluded")
-        if self.k != ilog(2, self.p**self.alpha_r):
-            raise DomainError("k must equal floor(log2 p^alpha_r)")
-        if self.a != self.s - self.alpha1 or self.a < 0:
+        if self.a < 0:
             raise DomainError("need a = s - alpha1 >= 0")
-        if self.b != self.k - self.alpha_r or self.b < 1:
+        if self.b < 1:
             raise DomainError("need b = k - alpha_r >= 1")
+
+    @cached_property
+    def k(self):
+        return ilog(2, self.p**self.alpha_r)
+
+    @property
+    def a(self):
+        return self.s - self.alpha1
+
+    @property
+    def b(self):
+        return self.k - self.alpha_r
 
     @classmethod
     def make(cls, alpha1, alpha_r, p, s=None):
-        if s is None:
-            s = alpha1
-        k = ilog(2, p**alpha_r)
-        return cls(alpha1, alpha_r, p, k, s, s - alpha1, k - alpha_r)
+        return cls(alpha1, alpha_r, p, alpha1 if s is None else s)
 
 
 def check_inequality_1(n, p):
@@ -253,7 +258,7 @@ def squarefree_cofactors(q, k, lo, hi):
     return out
 
 
-def sweep_theorem_43(n, per_order=False, cap=None):
+def sweep_theorem_43(n, per_order=False):
     """Compare every order 4..n against the fixed bound(n).
 
     Returns violations (expected none), the orders attaining equality
@@ -272,12 +277,10 @@ def sweep_theorem_43(n, per_order=False, cap=None):
     not dividing q whose product stays <= n/q, sees every candidate; the
     orders behind a candidate are listed only when it reaches a bound.
     """
-    if cap is None:
-        cap = config.DEFAULT_SWEEP_CAP
     if n < 4:
         raise DomainError("sweep needs n >= 4")
-    if n > cap:
-        raise CapacityError(f"sweep limit {n} exceeds the cap {cap}")
+    if n > config.DEFAULT_SWEEP_CAP:
+        raise CapacityError(f"sweep limit {n} exceeds the cap {config.DEFAULT_SWEEP_CAP}")
     t0 = time.monotonic()
     bound_n = bound(n)
     top = ilog(2, n)

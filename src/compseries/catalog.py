@@ -281,17 +281,17 @@ def is_elem_sylow_spec(spec):
 # realization
 
 
-def _permutation_group(atom, cap):
+def _permutation_group(atom):
     """GroupTable of a dihedral, quaternion, symmetric or alternating atom."""
     if isinstance(atom, Dihedral):
         m = atom.n // 2
         rot = tuple((x + 1) % m for x in range(m))
         refl = tuple((m - x) % m for x in range(m))
-        return build_from_generators(m, [rot, refl], cap=cap)
+        return build_from_generators(m, [rot, refl])
     if isinstance(atom, QuaternionQ8):
         # left-regular i and j on (1, -1, i, -i, j, -j, k, -k)
         gens = [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]
-        return build_from_generators(8, gens, cap=cap)
+        return build_from_generators(8, gens)
     n = atom.n
     cycle = tuple(list(range(1, n)) + [0])
     if isinstance(atom, Symmetric):
@@ -307,10 +307,10 @@ def _permutation_group(atom, cap):
             gens = [three, cycle]
         else:
             gens = [three, tuple([0] + list(range(2, n)) + [1])]
-    return build_from_generators(n, gens, cap=cap)
+    return build_from_generators(n, gens)
 
 
-def _factor_tables(atom, cap):
+def _factor_tables(atom):
     """Tables whose direct product, in order, is the atom's table."""
     if isinstance(atom, Cyclic):
         return [cyclic_mult(atom.n)]
@@ -318,26 +318,20 @@ def _factor_tables(atom, cap):
         return [cyclic_mult(atom.p)] * atom.k
     if isinstance(atom, Abelian):
         return [cyclic_mult(p**e) for p, es in atom.parts for e in es]
-    return [_permutation_group(atom, cap).mult]
+    return [_permutation_group(atom).mult]
 
 
-def realize(spec, cap=None):
+def realize(spec):
     """Deterministic GroupTable for a spec; lexicographic product ordering."""
-    if cap is None:
-        cap = config.element_cap()
-    total = spec.order()
-    if total > cap:
-        raise CapacityError(
-            f"spec order {total} exceeds the element cap {cap}"
-        )
+    config.check_order(spec.order())
     if isinstance(spec, (Dihedral, QuaternionQ8, Symmetric, Alternating)):
-        return _permutation_group(spec, cap)  # validated as it was built
+        return _permutation_group(spec)  # validated as it was built
     factors = spec.factors if isinstance(spec, DirectProduct) else (spec,)
-    return direct_product([t for f in factors for t in _factor_tables(f, cap)])
+    return direct_product([t for f in factors for t in _factor_tables(f)])
 
 
-def realize_text(text, cap=None):
-    return realize(parse_spec(text), cap=cap)
+def realize_text(text):
+    return realize(parse_spec(text))
 
 
 # ---------------------------------------------------------------------------

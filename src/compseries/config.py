@@ -1,17 +1,21 @@
-"""Size caps.  The element cap is overridable through COMPSERIES_ELEMENT_CAP,
-and inside a ``cli.main`` call through its ``--element-cap`` flag."""
+"""Size caps, each set here alone.
+
+The element cap comes from COMPSERIES_ELEMENT_CAP, from ``--element-cap``
+inside a ``cli.main`` call, or from ``element_cap_in_force`` for library
+callers; ``check_order`` is its one check.  ``check_subgroup_enum`` holds
+``all_subgroups``, and the normal lattice of an abelian group, which is its
+whole subgroup lattice, to the subgroup-enumeration cap.
+"""
 
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import DomainError, SpecParseError
+from .errors import CapacityError, DomainError, SpecParseError
 
 DEFAULT_ELEMENT_CAP = 4096
 
-# all_subgroups suffers combinatorial blowup, and so does the normal-subgroup
-# closure of an abelian group, whose normal lattice is its whole subgroup
-# lattice; only all_subgroups is held to this cap.
+# the subgroup lattice grows combinatorially: E(2,8) has 417,199 subgroups
 SUBGROUP_ENUM_CAP = 256
 
 # Full N^3 associativity verification below this order, random triples above.
@@ -50,6 +54,21 @@ def check_element_cap(cap, source):
     if cap < 1:
         raise DomainError(f"{source} must be positive, got {cap}")
     return cap
+
+
+def check_order(n):
+    """A CapacityError when a group of ``n`` elements is past the element cap."""
+    cap = element_cap()
+    if n > cap:
+        raise CapacityError(f"{n} group elements exceed the element cap {cap}")
+
+
+def check_subgroup_enum(n):
+    """A CapacityError when an order-``n`` group's subgroup lattice is past its cap."""
+    if n > SUBGROUP_ENUM_CAP:
+        raise CapacityError(
+            f"order {n} exceeds the subgroup-enumeration cap {SUBGROUP_ENUM_CAP}"
+        )
 
 
 @contextmanager

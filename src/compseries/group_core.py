@@ -264,15 +264,13 @@ def generated_subgroup(G, seed):
     return Subgroup(G, close_members(G, seed))
 
 
-def build_from_generators(n_points, generators, cap=None):
+def build_from_generators(n_points, generators):
     """Permutation group closure: BFS from the identity, identity index 0.
 
     Each generator lists the images of 0..n_points-1.  Element indices follow
     BFS discovery order, so the result is deterministic for a fixed generator
     list.  Raises CapacityError when the group outgrows the element cap.
     """
-    if cap is None:
-        cap = config.element_cap()
     if n_points < 1:
         raise DomainError("n_points must be positive")
     gens = []
@@ -295,10 +293,7 @@ def build_from_generators(n_points, generators, cap=None):
             # product e*g acting as (e*g)(x) = e[g[x]]
             p = tuple(e[g[x]] for x in range(n_points))
             if p not in index:
-                if len(elems) >= cap:
-                    raise CapacityError(
-                        f"generated group exceeds the element cap of {cap}"
-                    )
+                config.check_order(len(elems) + 1)
                 index[p] = len(elems)
                 elems.append(p)
     points = range(n_points)
@@ -474,18 +469,6 @@ def quotient(G_amb, N_sub, H):
     if not _members_normal_in(G_amb, N_sub.members, H.members):
         raise DomainError("normality violated: N is not normal in H")
     return coset_quotient(G_amb, N_sub.members, H.members)
-
-
-def is_simple(G):
-    """True iff G has no normal subgroup besides the trivial one and itself."""
-    if G.order < 2:
-        raise DomainError("simplicity is undefined for the trivial group")
-    from .lattice import normal_subgroups  # local import, avoids module cycle
-
-    # prime order: only trivial subgroups exist at all
-    if prime_exponents(G.order) == [(G.order, 1)]:
-        return True
-    return len(normal_subgroups(G).items) == 2
 
 
 def prime_exponents(n):

@@ -36,7 +36,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from . import config
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .group_core import (
     GroupTable,
     Subgroup,
@@ -73,16 +73,10 @@ class SubgroupSet:
         return {s.mask for s in self.items}
 
 
-def all_subgroups(G, cap=None):
+def all_subgroups(G):
     """Every subgroup of G exactly once: the joins of its cyclic subgroups."""
-    if cap is None:
-        cap = config.SUBGROUP_ENUM_CAP
-    n = G.order
-    if n > cap:
-        raise CapacityError(
-            f"all_subgroups refused: order {n} exceeds the subgroup-enumeration cap {cap}"
-        )
-    subs = _join_closure(G, [(g,) for g in range(1, n)])
+    config.check_subgroup_enum(G.order)
+    subs = _join_closure(G, [(g,) for g in range(1, G.order)])
     return SubgroupSet(G, [Subgroup(G, m) for m in subs])
 
 
@@ -145,11 +139,22 @@ def _join_closure(G, seeds):
 
 def normal_subgroups(G):
     """All normal subgroups via conjugacy-class atoms closed under join."""
-    cap = config.element_cap()
-    if G.order > cap:
-        raise CapacityError(f"order {G.order} exceeds the element cap {cap}")
+    config.check_order(G.order)
+    if G.is_abelian:  # then the normal lattice is the whole subgroup lattice
+        config.check_subgroup_enum(G.order)
     mem = normal_member_sets(G, tuple(range(G.order)))
     return SubgroupSet(G, [Subgroup(G, m) for m in mem])
+
+
+def is_simple(G):
+    """True iff G has no normal subgroup besides the trivial one and itself."""
+    if G.order < 2:
+        raise DomainError("simplicity is undefined for the trivial group")
+    # prime order: only trivial subgroups exist at all
+    if prime_exponents(G.order) == [(G.order, 1)]:
+        return True
+    # an abelian group of composite order has a proper non-trivial subgroup
+    return not G.is_abelian and len(normal_subgroups(G)) == 2
 
 
 def _maximal_among(member_sets, full_size):

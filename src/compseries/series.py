@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import config, group_core, lattice
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .group_core import Subgroup, members_of
 
 
@@ -55,15 +55,9 @@ class CompositionChain:
         return [t.order for t in self.terms]
 
 
-def _check_cap(G):
-    cap = config.element_cap()
-    if G.order > cap:
-        raise CapacityError(f"order {G.order} exceeds the element cap {cap}")
-
-
 def count_series(G):
     """Exact number of distinct composition series of G (brute-force oracle)."""
-    _check_cap(G)
+    config.check_order(G.order)
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
     # the memo starts with c(trivial) = 1; the trivial subgroup's mask is 1
@@ -123,7 +117,7 @@ def enumerate_series(G, limit=None):
     does not grow with their number; the arguments are checked at call time.
     Equal terms of different chains are one shared Subgroup object.
     """
-    _check_cap(G)
+    config.check_order(G.order)
     if limit is not None and limit < 1:
         raise DomainError("limit must be a positive integer")
     walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {}, {})
@@ -156,7 +150,7 @@ def validate_chain(chain):
         if not group_core._members_normal_in(G, a.members, b.members):
             raise DomainError(f"step {i}: term is not normal in the next")
         q = group_core.quotient(G, a, b)
-        if not group_core.is_simple(q):
+        if not lattice.is_simple(q):
             raise DomainError(f"step {i}: quotient of order {q.order} is not simple")
         prod_of_factors *= b.order // a.order
     if prod_of_factors != G.order:

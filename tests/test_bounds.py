@@ -20,6 +20,7 @@ from compseries import (
     sweep_theorem_43,
 )
 from compseries import bounds as bounds_module
+from compseries import config
 from compseries.bounds import (
     check_inequality_4,
     factorial_ratio,
@@ -100,9 +101,7 @@ def test_params_excluded_case():
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        InequalityParams(0, 1, 5, k=3, s=0, a=0, b=2)  # wrong k
-    with pytest.raises(DomainError):
-        InequalityParams(2, 1, 5, k=2, s=1, a=-1, b=1)  # a < 0
+        InequalityParams.make(2, 1, 5, s=1)  # a < 0
     with pytest.raises(DomainError):
         InequalityParams.make(0, 1, 4)  # p not prime
     with pytest.raises(DomainError):
@@ -400,5 +399,5 @@ def test_sweep_preconditions():
     with pytest.raises(DomainError):
         sweep_theorem_43(3)
     with pytest.raises(CapacityError):
-        sweep_theorem_43(100, cap=50)
+        sweep_theorem_43(config.DEFAULT_SWEEP_CAP + 1)
 

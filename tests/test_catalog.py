@@ -26,6 +26,7 @@ from compseries.catalog import (
     is_elem_sylow_spec,
     standard_roster,
 )
+from compseries.config import element_cap_in_force
 from compseries.errors import CapacityError
 
 
@@ -109,6 +110,7 @@ def test_abelian_prime_partitions():
     }
     assert abelian_prime_partitions(parse_spec("Z12")) == {2: (2,), 3: (1,)}
     assert abelian_prime_partitions(parse_spec("E(2,3)xZ9")) == {2: (1, 1, 1), 3: (2,)}
+    assert abelian_prime_partitions(parse_spec("S2xA3xZ4")) == {2: (2, 1), 3: (1,)}
     with pytest.raises(DomainError):
         abelian_prime_partitions(parse_spec("S4"))
 
@@ -176,8 +178,8 @@ def test_realize_product_order_is_lexicographic():
 
 
 def test_realize_cap():
-    with pytest.raises(CapacityError):
-        realize_text("A5xA5", cap=100)
+    with element_cap_in_force(100), pytest.raises(CapacityError):
+        realize_text("A5xA5")
 
 
 def test_realize_trivial_atoms():

@@ -72,6 +72,13 @@ def test_count_cross_check(capsys):
     assert len(set(methods.values())) == 1
 
 
+def test_count_cross_check_with_order_two_and_three_atoms(capsys):
+    # S2 and A3 are the cyclic groups of order 2 and 3
+    code, rep, _ = run_json(capsys, "count", "--group", "S2xZ2xA3", "--cross-check")
+    assert code == 0
+    assert rep["result"]["by_method"] == {"formula:elementary-sylow": "9", "brute-force": "9"}
+
+
 def test_count_cross_check_mismatch_exits_3(capsys, monkeypatch):
     from compseries.series import SeriesCount
 
@@ -456,6 +463,17 @@ def test_lattice_maximal_normal(capsys):
     assert code == 0
     assert rep["result"]["orders"] == [4, 6]
     assert [0, 3, 6, 9] in rep["result"]["members"]
+
+
+@pytest.mark.parametrize("group", ["E(2,9)", "Z2xZ256"])
+def test_lattice_normal_of_a_large_abelian_group_exits_4(capsys, group):
+    # the normal lattice of an abelian group is its whole subgroup lattice
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "lattice", "--group", group, "--what", "normal")
+    assert time.monotonic() - t0 < 2
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "subgroup-enumeration cap" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from compseries import (
     quotient,
 )
 from compseries.catalog import realize_text
-from compseries.config import SUBGROUP_ENUM_CAP
+from compseries.config import SUBGROUP_ENUM_CAP, element_cap_in_force
 from compseries.group_core import (
     _members_normal_in,
     classes_of_members,
@@ -66,8 +66,8 @@ def test_build_identity_is_index_zero():
 
 
 def test_build_cap_exceeded():
-    with pytest.raises(CapacityError, match="cap"):
-        build_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], cap=10)
+    with element_cap_in_force(10), pytest.raises(CapacityError, match="cap"):
+        build_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
 
 
 def test_build_rejects_non_permutation():

@@ -85,8 +85,12 @@ def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, j
 
 
 def test_all_subgroups_cap():
-    with pytest.raises(CapacityError, match="cap"):
-        all_subgroups(realize_text("Z8"), cap=4)
+    # past the cap, the normal lattice of an abelian group is its whole lattice
+    G = realize_text("Z257")
+    with pytest.raises(CapacityError, match="subgroup-enumeration cap"):
+        all_subgroups(G)
+    with pytest.raises(CapacityError, match="subgroup-enumeration cap"):
+        normal_subgroups(G)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from compseries import (
     CompositionChain,
     DomainError,
     Subgroup,
+    build_from_generators,
     composition_factor_orders,
     count_series,
     enumerate_series,
     validate_chain,
 )
 from compseries.catalog import realize_text
+from compseries.config import element_cap_in_force
 from compseries.formulas import count_cyclic
 from compseries import lattice
 from compseries.lattice import _maximal_among, normal_member_sets
@@ -64,6 +66,24 @@ def test_count_respects_element_cap(monkeypatch):
     monkeypatch.setenv("COMPSERIES_ELEMENT_CAP", "8")
     with pytest.raises(CapacityError):
         count_series(G)
+
+
+def test_every_element_cap_check_reads_the_cap_in_force():
+    G = realize_text("S4")
+    calls = [
+        lambda: realize_text("S4"),
+        lambda: build_from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+        lambda: count_series(G),
+        lambda: enumerate_series(G),
+        lambda: lattice.normal_subgroups(G),
+    ]
+    with element_cap_in_force(8):
+        for call in calls:
+            with pytest.raises(CapacityError, match="element cap 8"):
+                call()
+    with element_cap_in_force(24):
+        for call in calls:
+            call()
 
 
 def test_series_count_value_positive():

@@ -30,9 +30,9 @@ def test_agreement_realizes_each_sylow_type_once(monkeypatch):
     realized = Counter()
     realize = catalog.realize
 
-    def counted(spec, cap=None):
+    def counted(spec):
         realized[catalog.print_spec(spec)] += 1
-        return realize(spec, cap)
+        return realize(spec)
 
     monkeypatch.setattr(catalog, "realize", counted)
     rows = verification.check_formula_oracle_agreement(128)
@@ -59,8 +59,8 @@ def test_run_verify_walks_each_group_once(monkeypatch):
     realize, count_series = catalog.realize, series.count_series
     all_subgroups = lattice.all_subgroups
 
-    def realized(spec, cap=None):
-        G = realize(spec, cap)
+    def realized(spec):
+        G = realize(spec)
         made[id(G)] = (catalog.print_spec(spec), G)  # G kept alive: ids stay unique
         return G
 
@@ -70,10 +70,10 @@ def test_run_verify_walks_each_group_once(monkeypatch):
             walks[made[id(G)][0]] += 1
         return result
 
-    def enumerated(G, cap=None):
+    def enumerated(G):
         lattices[id(G)] += 1
         made.setdefault(id(G), (f"order {G.order}", G))
-        return all_subgroups(G, cap)
+        return all_subgroups(G)
 
     monkeypatch.setattr(catalog, "realize", realized)
     monkeypatch.setattr(series, "count_series", counted)
