@@ -120,7 +120,7 @@ _ATOM_RES = [
 _MAX_DIGITS = len(str(1 << config.BOUND_LOG2_CAP))
 
 
-def _validate_atom(atom, pos):
+def _validate_atom(atom):
     """Semantic atom validation; syntax errors are raised earlier as parse errors.
 
     A prime-power atom whose order is at least 2**(BOUND_LOG2_CAP + 1) is
@@ -179,7 +179,7 @@ def _parse_atom(text, pos):
         m = rx.fullmatch(text)
         if m:
             atom = _parse_abelian(m.group(1), pos) if build is None else build(m)
-            _validate_atom(atom, pos)
+            _validate_atom(atom)
             return atom
     raise SpecParseError(f"unrecognized group atom {text!r}", pos)
 

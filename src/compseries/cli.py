@@ -170,12 +170,12 @@ def _emit_plain(report, out=None):
     walk(report)
 
 
-def _base_report(command, inputs, t0, cache_hit=False):
+def _base_report(command, inputs, t0):
     return {
         "command": command,
         "inputs": inputs,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        "cache_hit": cache_hit,
+        "cache_hit": False,
     }
 
 
@@ -271,6 +271,8 @@ def cmd_enumerate(args):
     """Write each chain as the walk reaches it, so memory stays bounded.
 
     A reader that closes the pipe early (``| head``) ends the walk normally.
+    On stdout each line is flushed as it is written, so ``chains`` counts the
+    lines the OS has taken, not those still in the buffer.
     """
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
@@ -287,12 +289,16 @@ def cmd_enumerate(args):
     try:
         for line in lines:
             sink.write(line)
+            if not args.output:
+                sink.flush()
             written += 1
     except BrokenPipeError:
         if args.output:
             raise
         # what stdout still buffers, flushed at exit too, goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         if args.output:
             sink.close()

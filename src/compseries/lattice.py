@@ -22,11 +22,10 @@ Two algorithms live here:
   One loop serves every prime: each coset of H' * H^p gets a bit mask and
   a coordinate vector, and each hyperplane is the OR of the masks of the
   cosets it contains.  When the parent is itself an elementary abelian
-  2-group F_2^n, its n coordinate slices are built once per table; the maps
-  H -> Z_2 are spanned by the slices cut down to H's mask, so XOR
-  elimination of those n masks gives H's slices in O(n * dim H) big-int
-  operations, without H's members, and the maps are walked in Gray-code
-  order, so each hyperplane costs one big-int XOR.
+  2-group F_2^n, its n coordinate slices are built once per table, and the
+  odd sets of the maps H -> Z_2 are the span under XOR of the slices cut
+  down to H's mask: each hyperplane is H's mask minus one non-zero member of
+  that span, found without H's members.
 """
 
 from __future__ import annotations
@@ -205,7 +204,15 @@ def maximal_normal_member_sets(G, mask):
     members = None if slices else members_of(mask)
     if is_abelian_members(G, members):
         if slices:
-            return _gray_kernels(mask, _xor_basis([s & mask for s in slices]))
+            # H is a subspace of F_2^n, so each map H -> Z_2 is a coordinate map
+            # cut down to H; odd sets add by XOR and differ for distinct maps,
+            # so the span holds each map's odd set once
+            span = {0}
+            for s in slices:
+                odd = s & mask
+                if odd not in span:
+                    span |= {x ^ odd for x in span}
+            return [mask ^ odd for odd in span if odd]
         return _prime_index_masks(G, members, (0,))
     d = derived_members(G, members)
     # H is solvable iff H' is
@@ -230,39 +237,6 @@ def _coordinate_slices(G):
         else:
             G._slices = []
     return G._slices
-
-
-def _xor_basis(vectors):
-    """A basis of the span over F_2 of the bit masks ``vectors``, by XOR elimination.
-
-    Each vector v is reduced by the basis so far, in order: v ^ b < v exactly
-    when v has b's leading bit, and no later basis vector has that bit, since
-    each was reduced by b in turn.  So the leading bits of the basis are
-    distinct, and v is in the span iff it reduces to 0.
-    """
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return basis
-
-
-def _gray_kernels(hmask, slices):
-    """Kernels of the non-zero maps H -> Z_2 whose odd sets ``slices`` span.
-
-    ``hmask`` is H's bit mask, and ``slices`` are the odd sets of a basis of
-    the maps: ker phi is H minus the members x where phi(x) = 1.  phi runs
-    over F_2^d in Gray-code order, so step i flips the bit of i's lowest set
-    bit, and each odd set is one XOR of a slice into the previous one.
-    """
-    out = []
-    odd = 0
-    for i in range(1, 1 << len(slices)):
-        odd ^= slices[(i & -i).bit_length() - 1]
-        out.append(hmask ^ odd)
-    return out
 
 
 def _prime_index_masks(G, members, d):

@@ -1,8 +1,10 @@
 """CLI surface: commands, JSON reports, exit codes, and the result cache."""
 
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -310,6 +312,52 @@ def test_enumerate_into_a_closed_pipe_exits_0():
     assert "error:" not in err and "Traceback" not in err, err
 
 
+class _PipeClosedAfter(io.RawIOBase):
+    """A stdout pipe whose reader takes ``k`` lines and then closes its end.
+
+    The first write after that raises BrokenPipeError; later writes are
+    dropped, as they are once the CLI points the descriptor at os.devnull.
+    """
+
+    def __init__(self, k, fd):
+        self.left, self.fd, self.lines, self.broken = k, fd, 0, False
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, b):
+        if self.broken:
+            return len(b)
+        if not self.left:
+            self.broken = True
+            raise BrokenPipeError("the reader closed the pipe")
+        data = b"".join(bytes(b).splitlines(keepends=True)[: self.left])
+        n = data.count(b"\n")
+        self.left -= n
+        self.lines += n
+        return len(data)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_enumerate_counts_the_chains_the_pipe_took(capsys, monkeypatch, k):
+    fd = os.open(os.devnull, os.O_WRONLY)
+    pipe = _PipeClosedAfter(k, fd)
+    stdout = io.TextIOWrapper(io.BufferedWriter(pipe), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = cli.main(["enumerate", "--group", "E(2,5)", "--json"])
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+        os.close(fd)
+    assert code == 0
+    assert pipe.lines == k
+    assert json.loads(capsys.readouterr().err)["result"]["chains"] == k
+
+
 # Runs `compseries` in a child and prints the child's peak RSS in KiB (Linux
 # units).  ru_maxrss survives exec, so a process forked from the test runner
 # would start out at the runner's size; the small interpreter in between
@@ -439,6 +487,33 @@ def test_verify_command(capsys):
     assert code == 0
     assert rep["result"]["failed"] == 0
     assert len(rep["result"]["checks"]) > 10
+
+
+def test_verify_plain_report_is_an_aligned_table(capsys):
+    code, rep, _ = run_json(capsys, "verify", "--order-cap", "8")
+    assert code == 0
+    checks = rep["result"]["checks"]
+    code, out, _ = run(capsys, "verify", "--order-cap", "8")
+    assert code == 0
+    *table, blank, summary = out.splitlines()
+    assert blank == "" and summary == f"{len(checks)} checks, 0 failed"
+    rows = [re.split(r"  +", line.rstrip(), maxsplit=2) for line in table]
+    assert rows == [[c["name"], c["status"], c["detail"]] for c in checks]
+    # the status column starts at the same place on every line
+    assert len({line.index(c["status"] + " ") for line, c in zip(table, checks)}) == 1
+    assert ["series count E(2,3)", "PASS", "brute=21 formula=21"] in rows
+
+
+def test_catalog_list_plain_lines(capsys):
+    code, out, _ = run(capsys, "catalog", "list", "--max-order", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert "     8  E(2,3)" in lines and "     6  S3" in lines
+    pairs = [line.split() for line in lines]
+    assert all(line == f"{int(o):>6}  {spec}" for line, (o, spec) in zip(lines, pairs))
+    assert sorted(spec for _, spec in pairs) == sorted(
+        name for name, _ in catalog.standard_roster(8)
+    )
 
 
 def test_catalog_list(capsys):

@@ -308,3 +308,20 @@ def test_validate_chain_rejects_non_normal_step():
     )
     with pytest.raises(DomainError):
         validate_chain(ch)
+
+
+def test_validate_chain_rejects_a_term_outside_the_next():
+    G = realize_text("E(2,2)")
+    ch = CompositionChain(
+        (Subgroup(G, (0,)), Subgroup(G, (0, 1)), Subgroup(G, (0, 2)), Subgroup(G, (0, 1, 2, 3)))
+    )
+    with pytest.raises(DomainError, match="step 1: term is not contained in the next"):
+        validate_chain(ch)
+
+
+def test_validate_chain_rejects_a_repeated_term():
+    G = realize_text("Z4")
+    half = Subgroup(G, (0, 2))
+    ch = CompositionChain((Subgroup(G, (0,)), half, half, Subgroup(G, (0, 1, 2, 3))))
+    with pytest.raises(DomainError, match="step 1: term is not proper in the next"):
+        validate_chain(ch)
