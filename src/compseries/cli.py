@@ -163,7 +163,8 @@ def _emit_plain(report, out=None):
                     print(f"{indent}{k}: {v}", file=out)
         elif isinstance(obj, list):
             for v in obj:
-                walk(v, indent)
+                # a nested list, such as one subgroup's members, stays on one line
+                walk(json.dumps(v) if isinstance(v, list) else v, indent)
         else:
             print(f"{indent}{obj}", file=out)
 

@@ -4,9 +4,9 @@ Elements are indices 0..N-1 with the identity fixed at index 0.  Subgroups are
 immutable member tuples backed by a bit mask.  Everything here is a pure
 function of its inputs.  A table's ``mult`` and ``inv`` are read-only; what is
 derived from them is cached on the table when first asked for: ``_rows`` and
-``_inv_list`` here, ``_normal_cache`` (the normal lattice) and ``_slices``
-(the coordinate slices of an elementary abelian 2-group) by ``lattice``, and
-``_series_count`` by ``series``.
+``_inv_list`` here, ``_normal_cache`` (the bit masks of the normal lattice)
+and ``_slices`` (the coordinate slices of an elementary abelian 2-group) by
+``lattice``, and ``_series_count`` by ``series``.
 
 This is the one module that imports numpy, and only inside the functions
 that build or validate a table (``GroupTable``, ``table_dtype``,
@@ -41,9 +41,10 @@ class GroupTable:
     """A finite group of order N given by its full N x N multiplication table.
 
     ``mult[a][b]`` is the index of a*b, ``inv[a]`` the index of a^-1, and the
-    identity is always index 0.  Identity, inverse, Latin-square and
-    associativity laws are checked on construction (associativity fully up to
-    ``ASSOC_FULL_CHECK_CAP``, by random triples above that).
+    identity is always index 0.  Identity, Latin-square and associativity laws
+    are checked on construction (associativity fully up to
+    ``ASSOC_FULL_CHECK_CAP``, by random triples above that); the inverse law
+    follows, since each Latin row holds one 0.
     """
 
     def __init__(self, mult):
@@ -55,6 +56,11 @@ class GroupTable:
         n = mult.shape[0]
         if n < 1:
             raise DomainError("group order must be positive")
+        # on the input, before the cast below wraps or truncates an entry
+        if not np.issubdtype(mult.dtype, np.integer):
+            raise DomainError(f"table entries must be integers, not {mult.dtype}")
+        if mult.min() < 0 or mult.max() >= n:
+            raise DomainError("table entries out of range")
         dtype = table_dtype(n)
         mult = np.ascontiguousarray(mult, dtype=dtype)  # no copy when already so
         self.order = n
@@ -75,18 +81,14 @@ class GroupTable:
         import numpy as np
 
         n = self.order
-        mult, inv = self.mult, self.inv
+        mult = self.mult
         ar = np.arange(n, dtype=mult.dtype)
-        if mult.min() < 0 or mult.max() >= n:
-            raise DomainError("table entries out of range")
         if not (np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)):
             raise DomainError("identity law violated at index 0")
         if not np.array_equal(np.sort(mult, axis=1), np.broadcast_to(ar, (n, n))):
             raise DomainError("some row is not a permutation (Latin square violated)")
         if not np.array_equal(np.sort(mult, axis=0), np.broadcast_to(ar[:, None], (n, n))):
             raise DomainError("some column is not a permutation (Latin square violated)")
-        if not np.all(mult[ar, inv] == 0):
-            raise DomainError("inverse law violated")
         if n <= config.ASSOC_FULL_CHECK_CAP:
             # one set of n x n buffers for every a: past malloc's mmap
             # threshold, a fresh set each time costs an mmap and its page

@@ -1,6 +1,8 @@
 """Exhaustive subgroup / normal-subgroup enumeration: the brute-force side.
 
-Two algorithms live here:
+Every function here takes and returns subgroups as bit masks; member tuples
+are built only where the public queries make their ``Subgroup``s, sorted
+there by (order, members).  Two algorithms live here:
 
 * ``all_subgroups`` and ``normal_subgroups`` — one join closure over two atom
   sets.  Every subgroup is the join of the cyclic subgroups it contains, and
@@ -13,19 +15,18 @@ Two algorithms live here:
   skips an atom that lies in one of its prime-index covers, which it has
   already found.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
-  It takes and returns subgroups as bit masks.  For a solvable subgroup H
-  every maximal normal subgroup has prime index, so they are exactly the
-  kernels of maps onto Z_p: the hyperplanes of the elementary abelian
-  quotient H / (H' * H^p), whose cosets are read off the parent's own table
-  (H' is trivial when H is abelian).  Non-solvable subgroups fall back to
-  the class-join lattice, which is tiny for groups with no abelian bulk.
-  One loop serves every prime: each coset of H' * H^p gets a bit mask and
-  a coordinate vector, and each hyperplane is the OR of the masks of the
-  cosets it contains.  When the parent is itself an elementary abelian
-  2-group F_2^n, its n coordinate slices are built once per table, and the
-  odd sets of the maps H -> Z_2 are the span under XOR of the slices cut
-  down to H's mask: each hyperplane is H's mask minus one non-zero member of
-  that span, found without H's members.
+  For a solvable subgroup H every maximal normal subgroup has prime index, so
+  they are exactly the kernels of maps onto Z_p: the hyperplanes of the
+  elementary abelian quotient H / (H' * H^p), whose cosets are read off the
+  parent's own table (H' is trivial when H is abelian).  Non-solvable
+  subgroups fall back to the class-join lattice, which is tiny for groups with
+  no abelian bulk.  One loop serves every prime: each coset of H' * H^p gets a
+  bit mask and a coordinate vector, and each hyperplane is the OR of the masks
+  of the cosets it contains.  When the parent is itself an elementary abelian
+  2-group F_2^n, its n coordinate slices are built once per table, and the odd
+  sets of the maps H -> Z_2 are the span under XOR of the slices cut down to
+  H's mask: each hyperplane is H's mask minus one non-zero member of that
+  span, found without H's members.
 """
 
 from __future__ import annotations
@@ -72,23 +73,28 @@ class SubgroupSet:
         return {s.mask for s in self.items}
 
 
+def _subgroup_set(G, masks):
+    """The subgroups of bit masks ``masks`` as a SubgroupSet sorted by (order, members)."""
+    subs = [Subgroup(G, members_of(m)) for m in masks]
+    return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
+
+
 def all_subgroups(G):
     """Every subgroup of G exactly once: the joins of its cyclic subgroups."""
     config.check_subgroup_enum(G.order)
-    subs = _join_closure(G, [(g,) for g in range(1, G.order)])
-    return SubgroupSet(G, [Subgroup(G, m) for m in subs])
+    return _subgroup_set(G, _join_closure(G, [(g,) for g in range(1, G.order)]))
 
 
-def normal_member_sets(G, members):
-    """All normal subgroups of the subgroup ``members``, as member tuples.
+def normal_member_sets(G, mask):
+    """Bit masks of all normal subgroups of the subgroup H of bit mask ``mask``.
 
-    They are the joins of the normal closures of its conjugacy classes.  The
+    They are the joins of the normal closures of H's conjugacy classes.  The
     lattice of the whole group is kept in ``G._normal_cache``.
     """
-    whole = len(members) == G.order
+    whole = mask == (1 << G.order) - 1
     if whole and G._normal_cache is not None:
         return G._normal_cache
-    classes = [c for c in classes_of_members(G, members) if c != (0,)]
+    classes = [c for c in classes_of_members(G, members_of(mask)) if c != (0,)]
     out = _join_closure(G, classes)
     if whole:
         G._normal_cache = out
@@ -96,19 +102,18 @@ def normal_member_sets(G, members):
 
 
 def _join_closure(G, seeds):
-    """Member tuples of every join of the subgroups <seed>, the trivial one included.
+    """Bit masks of every join of the subgroups <seed>, the trivial one included.
 
-    Sorted by (order, members).  The atoms <seed> are deduplicated by mask and
-    taken one at a time; after atom i, ``found`` holds every join of atoms
-    1..i, because join(T + {a}) = <join(T), a>.  So each join found before
-    atom a is extended by a's seed unless a's first seed element lies in the
-    join's reach, and no (join, atom) pair is tried twice.  The reach of a
-    join J is J together with every cover K = <J, a> found from it whose
-    index |K : J| is prime: J is maximal in K, so <J, b> = K for every b in
-    K outside J.  A seed is a single element, or a class of a subgroup H in
-    which every join is normal, so the atom lies in K once its first seed
-    element does.  Joins are keyed by their flag bytes, so a mask is built
-    once per new subgroup.
+    The atoms <seed> are deduplicated by mask and taken one at a time; after
+    atom i, ``found`` holds every join of atoms 1..i, because join(T + {a}) =
+    <join(T), a>.  So each join found before atom a is extended by a's seed
+    unless a's first seed element lies in the join's reach, and no (join,
+    atom) pair is tried twice.  The reach of a join J is J together with every
+    cover K = <J, a> found from it whose index |K : J| is prime: J is maximal
+    in K, so <J, b> = K for every b in K outside J.  A seed is a single
+    element, or a class of a subgroup H in which every join is normal, so the
+    atom lies in K once its first seed element does.  Joins are keyed by their
+    flag bytes, so a mask is built once per new subgroup.
     """
     atoms = {}
     for seed in seeds:
@@ -133,7 +138,7 @@ def _join_closure(G, seeds):
             q = len(join) // len(members)
             if prime_exponents(q) == [(q, 1)]:
                 entry[3] |= cover[2]
-    return sorted((tuple(sorted(m)) for m, _, _, _ in found.values()), key=lambda t: (len(t), t))
+    return [entry[2] for entry in found.values()]
 
 
 def normal_subgroups(G):
@@ -141,8 +146,7 @@ def normal_subgroups(G):
     config.check_order(G.order)
     if G.is_abelian:  # then the normal lattice is the whole subgroup lattice
         config.check_subgroup_enum(G.order)
-    mem = normal_member_sets(G, tuple(range(G.order)))
-    return SubgroupSet(G, [Subgroup(G, m) for m in mem])
+    return _subgroup_set(G, normal_member_sets(G, (1 << G.order) - 1))
 
 
 def is_simple(G):
@@ -156,33 +160,30 @@ def is_simple(G):
     return not G.is_abelian and len(normal_subgroups(G)) == 2
 
 
-def _maximal_among(member_sets, full_size):
-    """The proper sets among distinct subgroup ``member_sets`` that no other contains.
+def _maximal_among(masks, order):
+    """The maximal ones among the distinct subgroup ``masks`` of fewer than ``order`` members.
 
-    Largest first, each set is tested only against the maximal sets kept so
-    far: a set under any larger proper set is under a maximal one, kept earlier.
+    Largest first, each mask is tested only against the maximal masks kept so
+    far: a mask under any larger proper one is under a maximal one, kept earlier.
     """
-    proper = sorted((m for m in member_sets if len(m) < full_size), key=len, reverse=True)
+    proper = sorted((m for m in masks if m.bit_count() < order), key=int.bit_count, reverse=True)
     kept = []
-    for mem in proper:
-        mask = mask_of(mem)
-        if not any(mask | kmask == kmask for _, kmask in kept):
-            kept.append((mem, mask))
-    return sorted((mem for mem, _ in kept), key=lambda t: (len(t), t))
+    for mask in proper:
+        if not any(mask | k == k for k in kept):
+            kept.append(mask)
+    return kept
 
 
 def maximal_normal_subgroups(G):
     """Proper normal subgroups maximal under inclusion among proper normals."""
     if G.order < 2:
         raise DomainError("the trivial group has no maximal normal subgroup")
-    masks = maximal_normal_member_sets(G, (1 << G.order) - 1)
-    subs = [Subgroup(G, members_of(m)) for m in masks]
-    return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
+    return _subgroup_set(G, maximal_normal_member_sets(G, (1 << G.order) - 1))
 
 
 def maximal_subgroups_count(G):
     """Number of maximal elements among all proper subgroups (brute force)."""
-    return len(_maximal_among([s.members for s in all_subgroups(G)], G.order))
+    return len(_maximal_among(all_subgroups(G).masks(), G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,7 @@ def maximal_normal_member_sets(G, mask):
     # H is solvable iff H' is
     if is_solvable_members(G, d):
         return _prime_index_masks(G, members, d)
-    out = _maximal_among(normal_member_sets(G, members), len(members))
-    return [mask_of(m) for m in out]
+    return _maximal_among(normal_member_sets(G, mask), len(members))
 
 
 def _coordinate_slices(G):

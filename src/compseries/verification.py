@@ -119,7 +119,7 @@ def check_lattices(order_cap=256, tables=None):
         )
         if G.order == 1 or not catalog.is_elem_sylow_spec(spec):
             continue
-        brute = len(lattice._maximal_among([s.members for s in subs], G.order))
+        brute = len(lattice._maximal_among(subs.masks(), G.order))
         expect = formulas.maximal_subgroup_count_formula(formulas.factorize(G.order))
         maximal_rows.append(
             CheckResult(

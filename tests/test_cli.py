@@ -95,9 +95,19 @@ def test_count_parse_error_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_count_abelian_without_a_formula_is_brute(capsys):
+    # Z4 x Z2: abelian, but neither cyclic nor with elementary abelian Sylow subgroups
+    code, rep, _ = run_json(capsys, "count", "--group", "Ab(2^2+1)")
+    assert code == 0
+    assert rep["result"]["count"] == "5"
+    assert rep["result"]["method"] == "brute-force"
+
+
 def test_count_formula_unavailable_exits_1(capsys):
     code, _, err = run(capsys, "count", "--group", "S4", "--mode", "formula")
     assert code == 1 and "error" in err
+    code, _, err = run(capsys, "count", "--group", "Ab(2^2+1)", "--mode", "formula")
+    assert code == 1 and "no closed-form count" in err
 
 
 def test_count_capacity_exits_4(capsys):
@@ -478,6 +488,13 @@ def test_sweep_command(capsys):
     assert rep["result"]["equality_attainers"] == [512]
 
 
+def test_sweep_per_order_attainers(capsys):
+    code, rep, _ = run_json(capsys, "sweep", "--max-n", "100", "--per-order")
+    assert code == 0
+    assert rep["result"]["equality_attainers"] == [64]
+    assert rep["result"]["per_order_attainers"] == [4, 8, 16, 32, 64]
+
+
 # ---------------------------------------------------------------------------
 # verify / catalog / lattice
 
@@ -538,6 +555,18 @@ def test_lattice_maximal_normal(capsys):
     assert code == 0
     assert rep["result"]["orders"] == [4, 6]
     assert [0, 3, 6, 9] in rep["result"]["members"]
+
+
+def test_lattice_plain_report_prints_one_line_per_subgroup(capsys):
+    code, rep, _ = run_json(capsys, "lattice", "--group", "S3", "--what", "normal")
+    assert code == 0
+    code, out, _ = run(capsys, "lattice", "--group", "S3", "--what", "normal")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("  members:") + 1
+    assert [json.loads(line) for line in lines[start:]] == rep["result"]["members"]
+    # a flat list keeps one item per line
+    assert lines[lines.index("  orders:") + 1 : start - 1] == ["    1", "    3", "    6"]
 
 
 @pytest.mark.parametrize("group", ["E(2,9)", "Z2xZ256"])

@@ -85,8 +85,24 @@ def test_table_rejects_bad_identity():
 
 
 def test_table_rejects_non_latin():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="row"):
         GroupTable([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    # every row a permutation, column 1 not
+    with pytest.raises(DomainError, match="column"):
+        GroupTable([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "mult, match",
+    [
+        # the int16 cast would wrap 65537 to 1, and truncate 1.7 to 1: Z2 either way
+        (np.array([[0, 65537], [65537, 0]]), "out of range"),
+        ([[0, 1.7], [1.7, 0]], "integers"),
+    ],
+)
+def test_table_rejects_entries_the_cast_would_change(mult, match):
+    with pytest.raises(DomainError, match=match):
+        GroupTable(mult)
 
 
 def test_table_rejects_nonassociative_loop():
@@ -299,16 +315,23 @@ def test_large_order_rejects_unclosed_set_and_non_normal_quotient(realized):
 
 def test_subgroup_rejects_unclosed_set():
     G = realize_text("Z12")
-    with pytest.raises(DomainError):
-        Subgroup(G, (0, 1, 4, 5))  # wrong size for Lagrange anyway
-    with pytest.raises(DomainError):
-        Subgroup(G, (0, 1, 3, 4, 6, 7))  # size divides 12 but not closed
+    with pytest.raises(DomainError, match="Lagrange"):
+        Subgroup(G, (0, 1, 2, 3, 4))  # 5 does not divide 12
+    with pytest.raises(DomainError, match="closed"):
+        Subgroup(G, (0, 1, 4, 5))  # size divides 12 but not closed
+    with pytest.raises(DomainError, match="closed"):
+        Subgroup(G, (0, 1, 3, 4, 6, 7))
 
 
 def test_subgroup_requires_identity():
     G = realize_text("Z12")
     with pytest.raises(DomainError, match="identity"):
         Subgroup(G, (1, 2))
+
+
+def test_subgroup_rejects_out_of_range_member():
+    with pytest.raises(DomainError, match="out of range"):
+        Subgroup(realize_text("Z12"), (0, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +426,12 @@ def test_quotient_rejects_containment_violation():
     G = realize_text("Z12")
     with pytest.raises(DomainError, match="[Cc]ontainment|subset"):
         quotient(G, Subgroup(G, (0, 4, 8)), Subgroup(G, (0, 6)))
+
+
+def test_quotient_rejects_foreign_subgroup():
+    G1, G2 = realize_text("Z4"), realize_text("Z8")
+    with pytest.raises(DomainError, match="ambient"):
+        quotient(G1, Subgroup(G1, (0,)), Subgroup(G2, (0, 4)))
 
 
 def test_quotient_rejects_non_normal():

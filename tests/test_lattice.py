@@ -15,7 +15,7 @@ from compseries import (
     normal_subgroups,
 )
 from compseries.catalog import realize, realize_text, standard_roster
-from compseries.group_core import mask_of, members_of
+from compseries.group_core import mask_of
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -61,6 +61,14 @@ def test_all_subgroups_equal_closed_subsets_of_small_roster():
             if np.isin(G.mult[np.ix_(mem, mem)], mem).all():
                 closed.add(mask_of(mem.tolist()))
         assert all_subgroups(G).masks() == closed, name
+
+
+@pytest.mark.parametrize("text", ["S4", "Z2xZ4"])
+def test_public_queries_sort_by_order_then_members(text):
+    G = realize_text(text)
+    for query in (all_subgroups, normal_subgroups, maximal_normal_subgroups):
+        keys = [(s.order, s.members) for s in query(G)]
+        assert keys == sorted(keys), (text, query.__name__)
 
 
 def test_a5_and_s5_subgroup_counts():
@@ -181,12 +189,9 @@ def test_fast_maximal_path_matches_lattice_filter():
     """Prime-index kernel route vs filtering the normal lattice directly."""
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
-        full = tuple(range(G.order))
-        fast = set(maximal_normal_member_sets(G, mask_of(full)))
-        slow = {
-            mask_of(m)
-            for m in _maximal_among(normal_member_sets(G, full), G.order)
-        }
+        full = (1 << G.order) - 1
+        fast = set(maximal_normal_member_sets(G, full))
+        slow = set(_maximal_among(normal_member_sets(G, full), G.order))
         assert fast == slow, text
 
 
@@ -197,20 +202,15 @@ def test_maximal_member_sets_of_proper_subgroups():
         if H.order == 1:
             continue
         fast = set(maximal_normal_member_sets(G, H.mask))
-        slow = {
-            mask_of(m)
-            for m in _maximal_among(normal_member_sets(G, H.members), H.order)
-        }
+        slow = set(_maximal_among(normal_member_sets(G, H.mask), H.order))
         assert fast == slow, H.members
 
 
-def _assert_route_matches_lattice(G, members, label):
+def _assert_route_matches_lattice(G, mask, label):
     """maximal_normal_member_sets vs the maximal proper normal subgroups."""
-    masks = maximal_normal_member_sets(G, mask_of(members))
+    masks = maximal_normal_member_sets(G, mask)
     assert len(set(masks)) == len(masks), label
-    got = sorted(members_of(m) for m in masks)
-    ref = _maximal_among(normal_member_sets(G, members), len(members))
-    assert got == sorted(ref), label
+    assert set(masks) == set(_maximal_among(normal_member_sets(G, mask), mask.bit_count())), label
 
 
 def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables):
@@ -221,7 +221,7 @@ def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables
             continue
         for H in all_subgroups(G):
             if H.order > 1:
-                _assert_route_matches_lattice(G, H.members, (name, H.members))
+                _assert_route_matches_lattice(G, H.mask, (name, H.members))
                 checked += 1
     assert checked == 1614
 
@@ -241,7 +241,7 @@ def test_prime_index_route_on_every_subgroup_of_abelian_roster(roster_tables):
             continue
         for H in all_subgroups(G):
             if H.order > 1:
-                _assert_route_matches_lattice(G, H.members, (name, H.members))
+                _assert_route_matches_lattice(G, H.mask, (name, H.members))
                 checked += 1
     assert checked == 773 + 322
 
@@ -289,7 +289,7 @@ def test_other_tables_have_no_coordinate_slices(text):
 )
 def test_prime_index_route_on_whole_products(text):
     G = realize_text(text)
-    _assert_route_matches_lattice(G, tuple(range(G.order)), text)
+    _assert_route_matches_lattice(G, (1 << G.order) - 1, text)
 
 
 def test_prime_index_route_needs_the_derived_subgroup():
@@ -300,9 +300,9 @@ def test_prime_index_route_needs_the_derived_subgroup():
     y = [pt.index((a, (b + a) % 3)) for a, b in pt]
     G = build_from_generators(9, [x, y])
     assert G.order == 27
-    full = tuple(range(27))
+    full = (1 << 27) - 1
     _assert_route_matches_lattice(G, full, "Heisenberg(3)")
-    assert len(maximal_normal_member_sets(G, mask_of(full))) == 4
+    assert len(maximal_normal_member_sets(G, full)) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from compseries.catalog import realize_text
 from compseries.config import element_cap_in_force
 from compseries.formulas import count_cyclic
 from compseries import lattice
+from compseries.group_core import members_of
 from compseries.lattice import _maximal_among, normal_member_sets
 
 
@@ -160,21 +161,21 @@ def test_enumerate_length_equals_count():
         assert len(keys) == len(chains), text
 
 
-def _reference_chains(G, members):
-    """Chains up to ``members`` by a DFS over the normal lattice, children in
-    (order, members) order."""
-    if len(members) == 1:
-        return [[members]]
-    children = _maximal_among(normal_member_sets(G, members), len(members))
-    children.sort(key=lambda m: (len(m), m))
-    return [c + [members] for child in children for c in _reference_chains(G, child)]
+def _reference_chains(G, mask):
+    """Chains up to the bit mask ``mask`` by a DFS over the normal lattice,
+    children in (order, members) order."""
+    if mask == 1:
+        return [[mask]]
+    children = _maximal_among(normal_member_sets(G, mask), mask.bit_count())
+    children.sort(key=lambda m: (m.bit_count(), members_of(m)))
+    return [c + [mask] for child in children for c in _reference_chains(G, child)]
 
 
 @pytest.mark.parametrize("text", ["S4", "D8xZ3"])
 def test_enumerate_order_is_the_sorted_dfs(text):
     G = realize_text(text)
-    got = [[t.members for t in ch.terms] for ch in enumerate_series(G)]
-    assert got == _reference_chains(G, tuple(range(G.order)))
+    got = [[t.mask for t in ch.terms] for ch in enumerate_series(G)]
+    assert got == _reference_chains(G, (1 << G.order) - 1)
 
 
 def test_enumerate_shares_one_subgroup_per_term():
