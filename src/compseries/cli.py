@@ -251,21 +251,36 @@ def _chain_lines(chains):
     """One JSON text line per chain: its term orders and member lists.
 
     Each line equals ``json.dumps({"orders": ..., "subgroups": ...})`` plus a
-    newline.  The chains of one walk share their terms, so the member list of
-    each distinct term is encoded once, keyed by its mask, and every line is
-    joined from those texts.
+    newline.  The chains of one walk share their terms, so the order and
+    member texts of each distinct term are encoded once, keyed by its mask.
+    Consecutive chains of the walk also share their upper terms: ``above``
+    holds the previous chain's terms top first, and ``orders[d]`` and
+    ``subs[d]`` the texts of its terms from ``above[d]`` up to the top.  Each
+    chain keeps the texts of the terms it shares with the previous one,
+    compared from the top by identity, and builds only those below them.
     """
     texts = {}
-
-    def encode(term):
-        text = texts[term.mask] = json.dumps(term.members)
-        return text
-
+    above, orders, subs = [], [], []
     for ch in chains:
         terms = ch.terms
-        orders = ", ".join([str(t.order) for t in terms])
-        subs = ", ".join([texts.get(t.mask) or encode(t) for t in terms])
-        yield '{"orders": [%s], "subgroups": [%s]}\n' % (orders, subs)
+        shared = 0
+        for term, old in zip(reversed(terms), above):
+            if term is not old:
+                break
+            shared += 1
+        del above[shared:], orders[shared:], subs[shared:]
+        for t in reversed(terms[: len(terms) - shared]):
+            text = texts.get(t.mask)
+            if text is None:
+                text = texts[t.mask] = (str(t.order), json.dumps(t.members))
+            if above:
+                orders.append(text[0] + ", " + orders[-1])
+                subs.append(text[1] + ", " + subs[-1])
+            else:
+                orders.append(text[0])
+                subs.append(text[1])
+            above.append(t)
+        yield '{"orders": [%s], "subgroups": [%s]}\n' % (orders[-1], subs[-1])
 
 
 def cmd_enumerate(args):

@@ -157,6 +157,13 @@ class Subgroup:
             raise DomainError("subgroup order does not divide group order (Lagrange)")
         self._check_closed()
 
+    @classmethod
+    def from_mask(cls, parent, mask):
+        """The subgroup of bit mask ``mask``, validated as usual; it keeps the mask."""
+        sub = cls(parent, members_of(mask))
+        sub.__dict__["mask"] = mask
+        return sub
+
     def _check_closed(self):
         mem = self.members
         if len(mem) < self.parent.order and close_members(self.parent, mem) != mem:

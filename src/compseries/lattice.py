@@ -75,7 +75,7 @@ class SubgroupSet:
 
 def _subgroup_set(G, masks):
     """The subgroups of bit masks ``masks`` as a SubgroupSet sorted by (order, members)."""
-    subs = [Subgroup(G, members_of(m)) for m in masks]
+    subs = [Subgroup.from_mask(G, m) for m in masks]
     return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
 
 

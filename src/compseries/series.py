@@ -5,10 +5,11 @@ normal subgroups M of H, memoized by the member bit mask of H inside the
 top-level parent.  The recursion is walked on masks alone: the maximal
 normal subgroups of a mask come back as masks, each child is looked up in the
 memo before it is recursed into, and the lattice routine builds a member
-tuple only where its route needs one.  Enumeration runs the same recursion
-as a lazy DFS with children visited in (order, members) order, so output
-order is reproducible; it finds the children of each subgroup once and
-yields chains one at a time.
+tuple only where its route needs one.  Enumeration walks the same lattice
+depth first with an explicit stack of child iterators, children in (order,
+members) order, so output order is reproducible; it finds the children of
+each subgroup once and yields each chain, as it is reached, as one tuple of
+shared Subgroup objects.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import islice
 
 from . import config, group_core, lattice
 from .errors import DomainError
-from .group_core import Subgroup, members_of
+from .group_core import Subgroup
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,10 @@ class CompositionChain:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
+        terms = self.terms
+        if type(terms) is not tuple:
+            terms = tuple(terms)
+            object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("a chain has at least the trivial term")
         parent = terms[0].parent
@@ -83,31 +86,50 @@ def _count(G, mask, memo):
     return total
 
 
-def _chain_walk(G, top, interned, children):
-    """Chains up to the Subgroup ``top`` as lists of terms, trivial first.
+def _chain_walk(G):
+    """Every chain of G as a tuple of terms, trivial first.
 
-    Children are visited in (order, members) order.  ``interned`` maps the bit
-    mask of every term built so far to its Subgroup, so each is built once,
-    and ``children`` maps the mask of every term walked so far to its sorted
+    One DFS with an explicit stack: ``path`` holds the terms above the one
+    being walked, top first, and ``stack`` an iterator over each one's
+    children, in (order, members) order.  ``interned`` maps the bit mask of
+    every term built so far to its Subgroup, so each is built once and
+    consecutive chains share their upper terms as the same objects, and
+    ``children`` maps the mask of every term walked so far to its sorted
     child Subgroups, so the maximal normal subgroups of each are found once.
     """
-    if top.order == 1:
-        yield [top]
+    full = Subgroup.from_mask(G, (1 << G.order) - 1)
+    if G.order == 1:
+        yield (full,)
         return
-    kids = children.get(top.mask)
-    if kids is None:
-        kids = []
-        for mask in lattice.maximal_normal_member_sets(G, top.mask):
-            child = interned.get(mask)
-            if child is None:
-                child = interned[mask] = Subgroup(G, members_of(mask))
-            kids.append(child)
-        kids.sort(key=lambda c: (c.order, c.members))
-        children[top.mask] = kids
-    for child in kids:
-        for prefix in _chain_walk(G, child, interned, children):
-            prefix.append(top)
-            yield prefix
+    interned = {full.mask: full}
+    children = {}
+
+    def kids(top):
+        found = children.get(top.mask)
+        if found is None:
+            found = []
+            for mask in lattice.maximal_normal_member_sets(G, top.mask):
+                child = interned.get(mask)
+                if child is None:
+                    child = interned[mask] = Subgroup.from_mask(G, mask)
+                found.append(child)
+            found.sort(key=lambda c: (c.order, c.members))
+            children[top.mask] = found
+        return iter(found)
+
+    path = [full]
+    stack = [kids(full)]
+    while stack:
+        for child in stack[-1]:
+            if child.mask == 1:
+                yield (child, *reversed(path))
+            else:
+                path.append(child)
+                stack.append(kids(child))
+                break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def enumerate_series(G, limit=None):
@@ -120,10 +142,10 @@ def enumerate_series(G, limit=None):
     config.check_order(G.order)
     if limit is not None and limit < 1:
         raise DomainError("limit must be a positive integer")
-    walk = _chain_walk(G, Subgroup(G, tuple(range(G.order))), {}, {})
+    walk = _chain_walk(G)
     if limit is not None:
         walk = islice(walk, limit)
-    return (CompositionChain(tuple(raw)) for raw in walk)
+    return map(CompositionChain, walk)
 
 
 def composition_factor_orders(chain):

@@ -1,9 +1,12 @@
 """CLI surface: commands, JSON reports, exit codes, and the result cache."""
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -289,20 +292,49 @@ def test_enumerate_to_file(capsys, tmp_path):
     assert json.loads(lines[0])["orders"] == [1, 60]
 
 
+def _dumps_chain(ch):
+    return json.dumps(
+        {"orders": [t.order for t in ch.terms], "subgroups": [list(t.members) for t in ch.terms]}
+    )
+
+
 def test_enumerate_lines_are_json_dumps_of_the_chains(capsys):
     for text in ["Z12", "S4", "D8xZ3", "E(2,4)", "A5", "Q8xS4"]:
         code, out, _ = run(capsys, "enumerate", "--group", text)
         assert code == 0, text
-        want = [
-            json.dumps(
-                {
-                    "orders": [t.order for t in ch.terms],
-                    "subgroups": [list(t.members) for t in ch.terms],
-                }
-            )
-            for ch in series.enumerate_series(catalog.realize_text(text))
-        ]
+        want = [_dumps_chain(ch) for ch in series.enumerate_series(catalog.realize_text(text))]
         assert out.splitlines() == want, text
+
+
+def _chains(text):
+    return list(series.enumerate_series(catalog.realize_text(text)))
+
+
+@pytest.mark.parametrize(
+    "chains",
+    [
+        pytest.param(random.Random(7).sample(_chains("E(2,4)"), 315), id="shuffled"),
+        # composition lengths 5 and 7: each line switches group and length
+        pytest.param(
+            [ch for pair in zip(itertools.cycle(_chains("S4")), _chains("Z360")) for ch in pair],
+            id="interleaved",
+        ),
+        pytest.param(_chains("E(2,3)")[4:5], id="single"),
+        pytest.param([ch for ch in _chains("E(2,3)")[:4] for _ in range(2)], id="repeated"),
+        # equal terms that are distinct objects
+        pytest.param(_chains("D8xZ3") + _chains("D8xZ3"), id="two-walks"),
+    ],
+)
+def test_chain_lines_rebuild_what_the_previous_chain_does_not_share(chains):
+    lines = list(cli._chain_lines(chains))
+    assert lines == [_dumps_chain(ch) + "\n" for ch in chains]
+
+
+def test_enumerate_e26_prefix_digest(capsys, tmp_path):
+    path = tmp_path / "e26.jsonl"
+    code, _, _ = run(capsys, "enumerate", "--group", "E(2,6)", "--limit", "20000", "--output", str(path))
+    assert code == 0
+    assert hashlib.md5(path.read_bytes()).hexdigest() == "7d89e411248c5f226a96da0ccf036b2c"
 
 
 def test_enumerate_into_a_closed_pipe_exits_0():

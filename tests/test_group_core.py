@@ -19,6 +19,7 @@ from compseries import (
     is_simple,
     quotient,
 )
+from compseries import group_core
 from compseries.catalog import realize_text
 from compseries.config import SUBGROUP_ENUM_CAP, element_cap_in_force
 from compseries.group_core import (
@@ -321,6 +322,17 @@ def test_subgroup_rejects_unclosed_set():
         Subgroup(G, (0, 1, 4, 5))  # size divides 12 but not closed
     with pytest.raises(DomainError, match="closed"):
         Subgroup(G, (0, 1, 3, 4, 6, 7))
+
+
+def test_subgroup_from_mask_keeps_the_mask_and_validates(monkeypatch):
+    G = realize_text("Z12")
+    with pytest.raises(DomainError, match="closed"):
+        Subgroup.from_mask(G, mask_of((0, 1, 4, 5)))
+    want = {mask_of(s.members) for s in all_subgroups(G)}
+    monkeypatch.setattr(group_core, "mask_of", None)
+    H = Subgroup.from_mask(G, 0b1000001)
+    assert H.members == (0, 6) and H.mask == 0b1000001
+    assert all_subgroups(G).masks() == want
 
 
 def test_subgroup_requires_identity():

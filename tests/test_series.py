@@ -171,11 +171,19 @@ def _reference_chains(G, mask):
     return [c + [mask] for child in children for c in _reference_chains(G, child)]
 
 
-@pytest.mark.parametrize("text", ["S4", "D8xZ3"])
+@pytest.mark.parametrize("text", ["Z1", "Z7", "A5", "S4", "D8xZ3", "E(2,3)", "Q8xS4"])
 def test_enumerate_order_is_the_sorted_dfs(text):
     G = realize_text(text)
     got = [[t.mask for t in ch.terms] for ch in enumerate_series(G)]
     assert got == _reference_chains(G, (1 << G.order) - 1)
+
+
+@pytest.mark.parametrize("limit", [1, 5, 8, 20])
+def test_enumerate_limit_is_a_prefix_of_the_sorted_dfs(limit):
+    # E(2,3): three chains under each order-4 term, so 5, 8 and 20 stop mid-branch
+    G = realize_text("E(2,3)")
+    got = [[t.mask for t in ch.terms] for ch in enumerate_series(G, limit=limit)]
+    assert got == _reference_chains(G, (1 << G.order) - 1)[:limit]
 
 
 def test_enumerate_shares_one_subgroup_per_term():
