@@ -247,40 +247,25 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def _chain_lines(chains):
-    """One JSON text line per chain: its term orders and member lists.
+def _chain_lines(G, limit):
+    """One JSON text line per composition series of G: its term orders and member lists.
 
     Each line equals ``json.dumps({"orders": ..., "subgroups": ...})`` plus a
-    newline.  The chains of one walk share their terms, so the order and
-    member texts of each distinct term are encoded once, keyed by its mask.
-    Consecutive chains of the walk also share their upper terms: ``above``
-    holds the previous chain's terms top first, and ``orders[d]`` and
-    ``subs[d]`` the texts of its terms from ``above[d]`` up to the top.  Each
-    chain keeps the texts of the terms it shares with the previous one,
-    compared from the top by identity, and builds only those below them.
+    newline.  It is a fold: each term's order and member texts, encoded once
+    per mask, are joined onto the texts of the terms above it on the walk.
     """
     texts = {}
-    above, orders, subs = [], [], []
-    for ch in chains:
-        terms = ch.terms
-        shared = 0
-        for term, old in zip(reversed(terms), above):
-            if term is not old:
-                break
-            shared += 1
-        del above[shared:], orders[shared:], subs[shared:]
-        for t in reversed(terms[: len(terms) - shared]):
-            text = texts.get(t.mask)
-            if text is None:
-                text = texts[t.mask] = (str(t.order), json.dumps(t.members))
-            if above:
-                orders.append(text[0] + ", " + orders[-1])
-                subs.append(text[1] + ", " + subs[-1])
-            else:
-                orders.append(text[0])
-                subs.append(text[1])
-            above.append(t)
-        yield '{"orders": [%s], "subgroups": [%s]}\n' % (orders[-1], subs[-1])
+
+    def extend(term, above):
+        text = texts.get(term.mask)
+        if text is None:
+            text = texts[term.mask] = (str(term.order), json.dumps(term.members))
+        if above is None:
+            return text
+        return text[0] + ", " + above[0], text[1] + ", " + above[1]
+
+    folds = series.fold_series(G, extend, limit)
+    return ('{"orders": [%s], "subgroups": [%s]}\n' % pair for pair in folds)
 
 
 def cmd_enumerate(args):
@@ -294,7 +279,7 @@ def cmd_enumerate(args):
     name, _, G, spec = _load_group(args)
     if G is None:
         G = catalog.realize(spec)
-    lines = _chain_lines(series.enumerate_series(G, limit=args.limit))
+    lines = _chain_lines(G, args.limit)
     if args.output:
         sink = open(args.output, "w")
         report_stream = sys.stdout

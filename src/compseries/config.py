@@ -4,7 +4,8 @@ The element cap comes from COMPSERIES_ELEMENT_CAP, from ``--element-cap``
 inside a ``cli.main`` call, or from ``element_cap_in_force`` for library
 callers; ``check_order`` is its one check.  ``check_subgroup_enum`` holds
 ``all_subgroups``, and the normal lattice of an abelian group, which is its
-whole subgroup lattice, to the subgroup-enumeration cap.
+whole subgroup lattice, to an order cap; ``check_join_count`` holds every
+join closure to a cap on the subgroups it finds.
 """
 
 import os
@@ -17,6 +18,9 @@ DEFAULT_ELEMENT_CAP = 4096
 
 # the subgroup lattice grows combinatorially: E(2,8) has 417,199 subgroups
 SUBGROUP_ENUM_CAP = 256
+
+# subgroups one join closure may find: above E(2,7)'s 29,212, below E(2,8)'s
+SUBGROUP_JOIN_CAP = 2**15
 
 # Full N^3 associativity verification below this order, random triples above.
 ASSOC_FULL_CHECK_CAP = 512
@@ -69,6 +73,12 @@ def check_subgroup_enum(n):
         raise CapacityError(
             f"order {n} exceeds the subgroup-enumeration cap {SUBGROUP_ENUM_CAP}"
         )
+
+
+def check_join_count(n):
+    """A CapacityError when a join closure has found ``n`` subgroups, past its cap."""
+    if n > SUBGROUP_JOIN_CAP:
+        raise CapacityError(f"{n} subgroups exceed the join-closure cap {SUBGROUP_JOIN_CAP}")
 
 
 @contextmanager

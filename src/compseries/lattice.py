@@ -113,7 +113,7 @@ def _join_closure(G, seeds):
     in K, so <J, b> = K for every b in K outside J.  A seed is a single
     element, or a class of a subgroup H in which every join is normal, so the
     atom lies in K once its first seed element does.  Joins are keyed by their
-    flag bytes, so a mask is built once per new subgroup.
+    flag bytes, so a mask is built once per new subgroup; config caps their number.
     """
     atoms = {}
     for seed in seeds:
@@ -135,6 +135,7 @@ def _join_closure(G, seeds):
             if cover is None:
                 jmask = mask_of(join)
                 cover = found[jkey] = [join, jgens, jmask, jmask]
+                config.check_join_count(len(found))
             q = len(join) // len(members)
             if prime_exponents(q) == [(q, 1)]:
                 entry[3] |= cover[2]

@@ -5,11 +5,9 @@ normal subgroups M of H, memoized by the member bit mask of H inside the
 top-level parent.  The recursion is walked on masks alone: the maximal
 normal subgroups of a mask come back as masks, each child is looked up in the
 memo before it is recursed into, and the lattice routine builds a member
-tuple only where its route needs one.  Enumeration walks the same lattice
-depth first with an explicit stack of child iterators, children in (order,
-members) order, so output order is reproducible; it finds the children of
-each subgroup once and yields each chain, as it is reached, as one tuple of
-shared Subgroup objects.
+tuple only where its route needs one.  Enumeration folds each chain down one
+DFS of the same lattice, children in (order, members) order, so output order
+is reproducible; the walk finds the children of each subgroup once.
 """
 
 from __future__ import annotations
@@ -86,50 +84,62 @@ def _count(G, mask, memo):
     return total
 
 
-def _chain_walk(G):
-    """Every chain of G as a tuple of terms, trivial first.
+def fold_series(G, extend, limit=None):
+    """Iterator over one folded value per composition series of G, or the first ``limit``.
 
-    One DFS with an explicit stack: ``path`` holds the terms above the one
-    being walked, top first, and ``stack`` an iterator over each one's
-    children, in (order, members) order.  ``interned`` maps the bit mask of
-    every term built so far to its Subgroup, so each is built once and
-    consecutive chains share their upper terms as the same objects, and
-    ``children`` maps the mask of every term walked so far to its sorted
-    child Subgroups, so the maximal normal subgroups of each are found once.
+    The full group's value is ``extend(full, None)``, each lower term's is
+    ``extend(term, value of the term above it)``, and a series' value is its
+    trivial term's; series that share their upper terms share their values.
+    The arguments are checked at call time.
     """
-    full = Subgroup.from_mask(G, (1 << G.order) - 1)
-    if G.order == 1:
-        yield (full,)
-        return
-    interned = {full.mask: full}
-    children = {}
+    config.check_order(G.order)
+    if limit is not None and limit < 1:
+        raise DomainError("limit must be a positive integer")
+    walk = _fold_walk(G, extend)
+    return walk if limit is None else islice(walk, limit)
 
-    def kids(top):
-        found = children.get(top.mask)
+
+def _fold_walk(G, extend):
+    """The values of ``fold_series``, by one DFS with an explicit stack.
+
+    ``stack`` holds an iterator over the sorted children of each term of the
+    path, under one over the full group, and ``values`` each term's value,
+    under None.  ``interned`` maps each mask built to its one Subgroup, and
+    ``children`` each term walked to its children, found once.
+    """
+    interned, children = {}, {}
+
+    def kids(term):
+        found = children.get(term.mask)
         if found is None:
             found = []
-            for mask in lattice.maximal_normal_member_sets(G, top.mask):
+            for mask in lattice.maximal_normal_member_sets(G, term.mask):
                 child = interned.get(mask)
                 if child is None:
                     child = interned[mask] = Subgroup.from_mask(G, mask)
                 found.append(child)
             found.sort(key=lambda c: (c.order, c.members))
-            children[top.mask] = found
+            children[term.mask] = found
         return iter(found)
 
-    path = [full]
-    stack = [kids(full)]
+    values = [None]
+    stack = [iter([Subgroup.from_mask(G, (1 << G.order) - 1)])]
     while stack:
-        for child in stack[-1]:
-            if child.mask == 1:
-                yield (child, *reversed(path))
+        for term in stack[-1]:
+            value = extend(term, values[-1])
+            if term.mask == 1:
+                yield value
             else:
-                path.append(child)
-                stack.append(kids(child))
+                values.append(value)
+                stack.append(kids(term))
                 break
         else:
             stack.pop()
-            path.pop()
+            values.pop()
+
+
+def _prepend(term, above):
+    return (term,) if above is None else (term, *above)
 
 
 def enumerate_series(G, limit=None):
@@ -139,13 +149,7 @@ def enumerate_series(G, limit=None):
     does not grow with their number; the arguments are checked at call time.
     Equal terms of different chains are one shared Subgroup object.
     """
-    config.check_order(G.order)
-    if limit is not None and limit < 1:
-        raise DomainError("limit must be a positive integer")
-    walk = _chain_walk(G)
-    if limit is not None:
-        walk = islice(walk, limit)
-    return map(CompositionChain, walk)
+    return map(CompositionChain, fold_series(G, _prepend, limit))
 
 
 def composition_factor_orders(chain):

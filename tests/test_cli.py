@@ -2,11 +2,9 @@
 
 import hashlib
 import io
-import itertools
 import json
 import os
 import pathlib
-import random
 import re
 import subprocess
 import sys
@@ -299,35 +297,16 @@ def _dumps_chain(ch):
 
 
 def test_enumerate_lines_are_json_dumps_of_the_chains(capsys):
-    for text in ["Z12", "S4", "D8xZ3", "E(2,4)", "A5", "Q8xS4"]:
-        code, out, _ = run(capsys, "enumerate", "--group", text)
-        assert code == 0, text
-        want = [_dumps_chain(ch) for ch in series.enumerate_series(catalog.realize_text(text))]
-        assert out.splitlines() == want, text
-
-
-def _chains(text):
-    return list(series.enumerate_series(catalog.realize_text(text)))
-
-
-@pytest.mark.parametrize(
-    "chains",
-    [
-        pytest.param(random.Random(7).sample(_chains("E(2,4)"), 315), id="shuffled"),
-        # composition lengths 5 and 7: each line switches group and length
-        pytest.param(
-            [ch for pair in zip(itertools.cycle(_chains("S4")), _chains("Z360")) for ch in pair],
-            id="interleaved",
-        ),
-        pytest.param(_chains("E(2,3)")[4:5], id="single"),
-        pytest.param([ch for ch in _chains("E(2,3)")[:4] for _ in range(2)], id="repeated"),
-        # equal terms that are distinct objects
-        pytest.param(_chains("D8xZ3") + _chains("D8xZ3"), id="two-walks"),
-    ],
-)
-def test_chain_lines_rebuild_what_the_previous_chain_does_not_share(chains):
-    lines = list(cli._chain_lines(chains))
-    assert lines == [_dumps_chain(ch) + "\n" for ch in chains]
+    # E(2,3): three chains under each order-4 term, so 5, 8 and 20 stop mid-branch
+    texts = ["Z1", "Z7", "Z12", "Z360", "S4", "D8xZ3", "E(2,4)", "A5", "Q8xS4"]
+    cases = [(text, None) for text in texts]
+    cases += [("E(2,3)", limit) for limit in (1, 5, 8, 20)]
+    for text, limit in cases:
+        argv = ["enumerate", "--group", text] + (["--limit", str(limit)] if limit else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, (text, limit)
+        chains = series.enumerate_series(catalog.realize_text(text), limit)
+        assert out.splitlines() == [_dumps_chain(ch) for ch in chains], (text, limit)
 
 
 def test_enumerate_e26_prefix_digest(capsys, tmp_path):
@@ -610,6 +589,24 @@ def test_lattice_normal_of_a_large_abelian_group_exits_4(capsys, group):
     assert code == 4 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert "subgroup-enumeration cap" in err
+
+
+@pytest.mark.parametrize("what", ["subgroups", "normal"])
+def test_lattice_past_the_join_cap_exits_4(capsys, monkeypatch, what):
+    # E(2,6) has 2,825 subgroups
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 1000)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "lattice", "--group", "E(2,6)", "--what", what)
+    assert time.monotonic() - t0 < 2
+    assert code == 4 and out == ""
+    assert err == "error: 1001 subgroups exceed the join-closure cap 1000\n"
+
+
+def test_lattice_of_e28_exits_4_at_the_join_cap(capsys):
+    # order 256 is inside SUBGROUP_ENUM_CAP, but E(2,8) has 417,199 subgroups
+    code, out, err = run(capsys, "lattice", "--group", "E(2,8)", "--what", "subgroups")
+    assert code == 4 and out == ""
+    assert "join-closure cap" in err and len(err.splitlines()) == 1, err
 
 
 # ---------------------------------------------------------------------------

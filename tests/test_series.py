@@ -24,6 +24,7 @@ from compseries.formulas import count_cyclic
 from compseries import lattice
 from compseries.group_core import members_of
 from compseries.lattice import _maximal_among, normal_member_sets
+from compseries.series import fold_series
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,46 @@ def test_enumerate_limit_is_a_prefix_of_the_sorted_dfs(limit):
     G = realize_text("E(2,3)")
     got = [[t.mask for t in ch.terms] for ch in enumerate_series(G, limit=limit)]
     assert got == _reference_chains(G, (1 << G.order) - 1)[:limit]
+
+
+def _prepend_mask(term, above):
+    return [term.mask] + (above or [])
+
+
+@pytest.mark.parametrize("text, chains, length", [
+    ("Z1", 1, 0), ("Z360", 60, 6), ("S4", 3, 4), ("A5xS4", 15, 5),
+])
+def test_fold_counts_the_composition_length_of_every_chain(text, chains, length):
+    steps = fold_series(realize_text(text), lambda t, above: 0 if above is None else above + 1)
+    assert list(steps) == [length] * chains
+
+
+@pytest.mark.parametrize("text", ["Z1", "Z7", "A5", "E(2,3)", "Q8xS4"])
+def test_fold_by_prepending_gives_the_enumerated_terms(text):
+    G = realize_text(text)
+    want = [[t.mask for t in ch.terms] for ch in enumerate_series(G)]
+    assert list(fold_series(G, _prepend_mask)) == want
+
+
+@pytest.mark.parametrize("limit", [1, 5, 8, 20])
+def test_fold_limit_is_a_prefix_of_the_sorted_dfs(limit):
+    G = realize_text("E(2,3)")
+    got = list(fold_series(G, _prepend_mask, limit))
+    assert got == _reference_chains(G, (1 << G.order) - 1)[:limit]
+
+
+def test_fold_checks_its_arguments_at_call_time():
+    G = realize_text("Z12")
+    calls = []
+
+    def extend(term, above):
+        calls.append(term)
+
+    with pytest.raises(DomainError):
+        fold_series(G, extend, limit=0)
+    with element_cap_in_force(6), pytest.raises(CapacityError):
+        fold_series(G, extend)
+    assert calls == []
 
 
 def test_enumerate_shares_one_subgroup_per_term():
