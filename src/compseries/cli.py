@@ -7,10 +7,10 @@ from --element-cap, exits 1.  ``bound N`` with floor(log2 N) above
 ``config.BOUND_LOG2_CAP`` exits 4, and so does ``count`` of a spec whose order
 is that large, or whose cyclic order or prime is too large to factor; a spec
 whose integers alone show it that large exits 4 before anything is built.
-``enumerate`` streams its chains, and a reader that closes the pipe early
-ends it with exit 0.  Counts
-are serialized as decimal strings of any length, so arbitrary precision
-survives JSON.
+``enumerate`` streams its chains.  A reader that closes stdout's pipe early
+ends any command with exit 0; a write error on an ``--output`` file exits 1.
+Counts are serialized as decimal strings of any length, so arbitrary
+precision survives JSON.
 """
 
 from __future__ import annotations
@@ -171,6 +171,16 @@ def _emit_plain(report, out=None):
     walk(report)
 
 
+def _stdout_to_devnull():
+    """Point stdout at os.devnull once its reader has closed the pipe.
+
+    What stdout still buffers, flushed at exit too, then goes nowhere.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _base_report(command, inputs, t0):
     return {
         "command": command,
@@ -288,21 +298,17 @@ def cmd_enumerate(args):
         report_stream = sys.stderr
     written = 0
     try:
-        for line in lines:
-            sink.write(line)
-            if not args.output:
-                sink.flush()
-            written += 1
-    except BrokenPipeError:
-        if args.output:
-            raise
-        # what stdout still buffers, flushed at exit too, goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    finally:
-        if args.output:
-            sink.close()
+        # the file is closed, and its last buffer written, inside the try
+        with sink if args.output else contextlib.nullcontext():
+            for line in lines:
+                sink.write(line)
+                if not args.output:
+                    sink.flush()
+                written += 1
+    except BrokenPipeError as exc:
+        if args.output:  # a write error on the file, not a reader gone
+            raise OSError(f"{args.output}: {exc}") from None
+        _stdout_to_devnull()
     report = _base_report("enumerate", {"group": name, "limit": args.limit}, t0)
     report["result"] = {"chains": written}
     if args.json:
@@ -474,7 +480,13 @@ def main(argv=None):
             config.check_element_cap(args.element_cap, "--element-cap")
         # every cap check of the call, the oracle's included, reads the flag
         with config.element_cap_in_force(args.element_cap):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout took what it wanted (`| head`) and left
+        _stdout_to_devnull()
+        return EXIT_OK
     except SpecParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)

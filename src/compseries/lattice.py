@@ -9,11 +9,10 @@ there by (order, members).  Two algorithms live here:
   every normal subgroup is the join of the normal closures of its conjugacy
   classes, so closing the trivial subgroup under joins with the atoms <g>,
   or with the class closures, gives the whole lattice or the normal lattice.
-  The atoms are taken in turn: every join found so far that misses the atom
-  is extended by it with one Dimino step, so after atom i every join of
-  atoms 1..i is known and each join is extended only by later atoms.  A join
-  skips an atom that lies in one of its prime-index covers, which it has
-  already found.
+  The atoms are taken in turn, so after atom i every join of atoms 1..i is
+  known.  A join J is extended by atom i only when J*g, for i's first seed
+  element g, meets no earlier atom's seeds; each new subgroup then costs
+  about one Dimino step, exactly one on an elementary abelian 2-group.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
   For a solvable subgroup H every maximal normal subgroup has prime index, so
   they are exactly the kernels of maps onto Z_p: the hyperplanes of the
@@ -104,41 +103,42 @@ def normal_member_sets(G, mask):
 def _join_closure(G, seeds):
     """Bit masks of every join of the subgroups <seed>, the trivial one included.
 
-    The atoms <seed> are deduplicated by mask and taken one at a time; after
-    atom i, ``found`` holds every join of atoms 1..i, because join(T + {a}) =
-    <join(T), a>.  So each join found before atom a is extended by a's seed
-    unless a's first seed element lies in the join's reach, and no (join,
-    atom) pair is tried twice.  The reach of a join J is J together with every
-    cover K = <J, a> found from it whose index |K : J| is prime: J is maximal
-    in K, so <J, b> = K for every b in K outside J.  A seed is a single
-    element, or a class of a subgroup H in which every join is normal, so the
-    atom lies in K once its first seed element does.  Joins are keyed by their
-    flag bytes, so a mask is built once per new subgroup; config caps their number.
+    The seeds are grouped by the atom <seed> they generate, and the atoms are
+    taken one at a time; after atom i, ``found`` holds every join of atoms
+    1..i.  A seed is a single element, or a class of a subgroup H in which
+    every join is normal, so a join that holds a seed holds its atom.  A join
+    J is extended by atom i, whose first seed element is g, unless J*g meets
+    an earlier atom's seeds: one AND of J's mask with ``behind``, the mask of
+    (earlier seeds) * g^-1.  No join is lost.  Let i be the first of K's
+    atoms whose join with K's earlier atoms is K, and J that earlier join.  J
+    misses atom i, so J*g lies in K outside J, while every earlier seed in K
+    lies in J; so J passes and K = <J, atom i> is built.  A non-trivial J
+    holding g is skipped too, as J*g = J holds an earlier seed.  Joins are
+    keyed by their flag bytes, so a mask is built once per new subgroup;
+    config caps their number.
     """
     atoms = {}
     for seed in seeds:
-        atoms.setdefault(mask_of(close_members(G, seed)), seed)
+        atoms.setdefault(mask_of(close_members(G, seed)), []).extend(seed)
+    rows, inv = G.rows(), G.inv_list()
     trivial = bytearray(G.order)
     trivial[0] = 1
-    # flag bytes -> [members, generators, mask, reach]
-    found = {bytes(trivial): [[0], [], 1, 1]}
+    # flag bytes -> (members, generators, mask)
+    found = {bytes(trivial): ([0], [], 1)}
+    taken = []
     for seed in atoms.values():
-        g = seed[0]
-        for key, entry in list(found.items()):
-            members, gens, _, reach = entry
-            if reach >> g & 1:
+        g_inv = inv[seed[0]]
+        behind = mask_of(rows[e][g_inv] for e in taken)
+        for key, (members, gens, mask) in list(found.items()):
+            if mask & behind:
                 continue
             join, flags, jgens = list(members), bytearray(key), list(gens)
             extend_members(G, join, flags, jgens, seed)
             jkey = bytes(flags)
-            cover = found.get(jkey)
-            if cover is None:
-                jmask = mask_of(join)
-                cover = found[jkey] = [join, jgens, jmask, jmask]
+            if jkey not in found:
+                found[jkey] = (join, jgens, mask_of(join))
                 config.check_join_count(len(found))
-            q = len(join) // len(members)
-            if prime_exponents(q) == [(q, 1)]:
-                entry[3] |= cover[2]
+        taken += seed
     return [entry[2] for entry in found.values()]
 
 

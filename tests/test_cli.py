@@ -379,6 +379,52 @@ def test_enumerate_counts_the_chains_the_pipe_took(capsys, monkeypatch, k):
     assert json.loads(capsys.readouterr().err)["result"]["chains"] == k
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--group", "S4", "--what", "subgroups"],
+        ["verify", "--order-cap", "8"],
+        ["catalog", "list"],
+    ],
+    ids=["lattice", "verify", "catalog-list"],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_command_with_exit_0(capsys, monkeypatch, argv):
+    # the reader takes one line, as `| head -c 10` would; the output, all
+    # still buffered when the command returns, meets the closed pipe at the
+    # flush in main, not at interpreter exit
+    fd = os.open(os.devnull, os.O_WRONLY)
+    pipe = _PipeClosedAfter(1, fd)
+    stdout = io.TextIOWrapper(io.BufferedWriter(pipe), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = cli.main(argv)
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+        os.close(fd)
+    assert code == 0
+    assert pipe.lines == 1 and pipe.broken
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text", ["E(2,5)", "A5"])
+def test_a_broken_pipe_on_the_output_file_exits_1(capsys, monkeypatch, text):
+    # an --output FIFO whose reader left is a failed write, not a reader of
+    # stdout that took what it wanted; E(2,5)'s chains fill the buffer, so the
+    # pipe breaks in the loop, and A5's one chain breaks it when the file closes
+    fd = os.open(os.devnull, os.O_WRONLY)
+    pipe = _PipeClosedAfter(0, fd)
+    sink = io.TextIOWrapper(io.BufferedWriter(pipe), encoding="utf-8")
+    monkeypatch.setattr(cli, "open", lambda *args: sink, raising=False)
+    try:
+        code, _, err = run(capsys, "enumerate", "--group", text, "--output", "fifo")
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert pipe.broken
+    assert err == "error: fifo: the reader closed the pipe\n"
+
+
 # Runs `compseries` in a child and prints the child's peak RSS in KiB (Linux
 # units).  ru_maxrss survives exec, so a process forked from the test runner
 # would start out at the runner's size; the small interpreter in between

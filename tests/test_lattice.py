@@ -15,7 +15,7 @@ from compseries import (
     normal_subgroups,
 )
 from compseries.catalog import realize, realize_text, standard_roster
-from compseries.group_core import mask_of
+from compseries.group_core import _members_normal_in, mask_of
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -76,10 +76,16 @@ def test_a5_and_s5_subgroup_counts():
     assert len(all_subgroups(realize_text("S5"))) == 156
 
 
-@pytest.mark.parametrize("text, joins, subgroups", [("E(2,4)", 189, 67), ("S4", 142, 30)])
+@pytest.mark.parametrize(
+    "text, joins, subgroups",
+    [("E(2,1)", 1, 2), ("E(2,2)", 4, 5), ("E(2,3)", 15, 16), ("E(2,4)", 66, 67),
+     ("E(2,5)", 373, 374), ("E(2,6)", 2824, 2825), ("S4", 37, 30)],
+)
 def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, joins, subgroups):
-    # one extension per (join of atoms 1..i-1, atom i) pair with atom i outside
-    # the join's reach: the join and its prime-index covers found so far
+    # a join J is extended by atom <g> only when the coset J*g meets no seed of
+    # an earlier atom; in F_2^k that coset is all of <J, g> outside J, so each
+    # subgroup but the trivial one is built exactly once, while S4 still makes
+    # 8 steps that land on a subgroup already found
     calls = []
     real = lattice.extend_members
 
@@ -90,6 +96,20 @@ def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, j
     monkeypatch.setattr(lattice, "extend_members", counting)
     assert len(all_subgroups(realize_text(text))) == subgroups
     assert len(calls) == joins
+
+
+@pytest.mark.parametrize("text", ["S4", "D8xZ3", "A4xZ2", "S3xS3", "Q8xS4", "A5"])
+def test_normal_member_sets_of_every_subgroup_filter_its_lattice(text):
+    # the class-seed closure on proper subgroups H: the joins of the normal
+    # closures in H of H's classes are the subgroups of H normal in H
+    G = realize_text(text)
+    subs = all_subgroups(G)
+    for H in subs:
+        want = [
+            K.mask for K in subs
+            if K.mask | H.mask == H.mask and _members_normal_in(G, K.members, H.members)
+        ]
+        assert sorted(normal_member_sets(G, H.mask)) == sorted(want), H.members
 
 
 def test_all_subgroups_cap():
