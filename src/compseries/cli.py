@@ -25,7 +25,7 @@ import tempfile
 import time
 from decimal import Decimal
 
-from . import __version__, bounds, catalog, config, formulas, group_core, lattice, series
+from . import bounds, catalog, config, formulas, group_core, lattice, series
 from .errors import CapacityError, DomainError, SpecParseError
 
 EXIT_OK = 0
@@ -42,6 +42,18 @@ EXIT_VIOLATION = 5
 
 def _cache_dir():
     return os.environ.get("COMPSERIES_CACHE") or None
+
+
+def _source_digest():
+    """SHA-256 of the package's own ``.py`` sources: a count cached by other code misses."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                data = fh.read()
+            h.update(f"{name}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()
 
 
 def _cache_path(key):
@@ -212,10 +224,12 @@ def cmd_count(args):
     name, source, G, spec = _load_group(args)
     if spec is not None:
         bounds.capped_log2(spec.order(), "|G|")  # count(G) <= bound(|G|)
-    key = (
-        f"count|{source}|mode={args.mode}|cross={args.cross_check}"
-        f"|cap={args.element_cap}|version={__version__}"
-    )
+    key = None  # the sources are read only when there is a cache to key
+    if _cache_dir():
+        key = (
+            f"count|{source}|mode={args.mode}|cross={args.cross_check}"
+            f"|cap={args.element_cap}|src={_source_digest()}"
+        )
     cached = cache_get(key)
     if cached is not None:
         cached = dict(cached)

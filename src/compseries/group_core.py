@@ -10,7 +10,7 @@ and ``_slices`` (the coordinate slices of an elementary abelian 2-group) by
 
 This is the one module that imports numpy, and only inside the functions
 that build or validate a table (``GroupTable``, ``table_dtype``,
-``cyclic_mult``).  Importing numpy takes about 0.1 s, most of the package's
+``build_from_generators``, ``cyclic_mult``).  Importing numpy takes about 0.1 s, most of the package's
 import time, and the bound, the sweep, the catalog and the formula counts
 build no table, so a run pays for numpy only when it realizes a group.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count
+from operator import itemgetter
 
 from . import config
 from .errors import CapacityError, DomainError
@@ -42,9 +43,23 @@ class GroupTable:
 
     ``mult[a][b]`` is the index of a*b, ``inv[a]`` the index of a^-1, and the
     identity is always index 0.  Identity, Latin-square and associativity laws
-    are checked on construction (associativity fully up to
-    ``ASSOC_FULL_CHECK_CAP``, by random triples above that); the inverse law
-    follows, since each Latin row holds one 0.
+    are checked on construction; the inverse law follows, since each Latin
+    row holds one 0.
+
+    Associativity is checked exactly up to ``ASSOC_FULL_CHECK_CAP`` by
+    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
+    I, 1961, section 1.2), in O(N^2) per generator, and by random triples
+    above that.  Call a good if (x*a)*y = x*(a*y) for all x, y.  The
+    identity is good, and so is a*b when a and b are:
+
+        (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
+
+    using a, b, b, a good in turn.  So if every element is reached from 0
+    by right products with a set of good elements, every element is good
+    and the table is associative.  The set is picked greedily on the table
+    itself (``_light_generators``), so the test is sound whether or not the
+    table comes from a group; each element of the set costs two N x N
+    gathers.
     """
 
     def __init__(self, mult):
@@ -85,22 +100,24 @@ class GroupTable:
         ar = np.arange(n, dtype=mult.dtype)
         if not (np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)):
             raise DomainError("identity law violated at index 0")
-        if not np.array_equal(np.sort(mult, axis=1), np.broadcast_to(ar, (n, n))):
-            raise DomainError("some row is not a permutation (Latin square violated)")
-        if not np.array_equal(np.sort(mult, axis=0), np.broadcast_to(ar[:, None], (n, n))):
-            raise DomainError("some column is not a permutation (Latin square violated)")
+        # one buffer, sorted in place along its contiguous axis: the rows,
+        # then the columns as rows of the transpose
+        lines = np.empty_like(mult)
+        for what, src in (("row", mult), ("column", mult.T)):
+            lines[...] = src
+            lines.sort(axis=1)
+            if not np.array_equal(lines, np.broadcast_to(ar, (n, n))):
+                raise DomainError(f"some {what} is not a permutation (Latin square violated)")
         if n <= config.ASSOC_FULL_CHECK_CAP:
-            # one set of n x n buffers for every a: past malloc's mmap
-            # threshold, a fresh set each time costs an mmap and its page
-            # faults per buffer, which can outweigh the comparisons
-            left, right = np.empty_like(mult), np.empty_like(mult)
-            same = np.empty((n, n), dtype=bool)
-            for a in range(n):
-                # (a*b)*c vs a*(b*c) for all b, c; every index is in range
-                np.take(mult, mult[a], axis=0, out=left, mode="clip")
-                np.take(mult[a], mult, out=right, mode="clip")
-                if not np.equal(left, right, out=same).all():
-                    raise DomainError(f"associativity fails with left factor {a}")
+            # the same two n x n buffers for every a: past malloc's mmap
+            # threshold, a fresh pair each time costs mmaps and page faults
+            left, right = lines, np.empty_like(mult)
+            for a in _light_generators(mult):
+                # (x*a)*y vs x*(a*y) for all x, y; every index is in range
+                np.take(mult, mult[:, a], axis=0, out=left, mode="clip")
+                np.take(mult, mult[a], axis=1, out=right, mode="clip")
+                if not np.array_equal(left, right):
+                    raise DomainError(f"associativity fails with middle factor {a}")
         else:
             rng = np.random.default_rng(0)
             trip = rng.integers(0, n, size=(10 * n, 3))
@@ -132,6 +149,31 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
+
+
+def _light_generators(mult):
+    """Elements from which right products reach every index of ``mult`` from 0.
+
+    Each is the least index not yet reached by right products with the
+    earlier ones.  Only the table's own products are used, so no law is
+    assumed: a Latin square with identity qualifies.
+    """
+    n = mult.shape[0]
+    reached = bytearray(n)
+    reached[0] = 1
+    order = [0]
+    gens, cols = [], []
+    while len(order) < n:
+        a = reached.index(0)
+        gens.append(a)
+        cols.append(mult[:, a].tolist())  # cols[j][x] is x * gens[j]
+        for x in order:  # order grows while it is walked
+            for col in cols:
+                y = col[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    order.append(y)
+    return gens
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +321,11 @@ def build_from_generators(n_points, generators):
     Each generator lists the images of 0..n_points-1.  Element indices follow
     BFS discovery order, so the result is deterministic for a fixed generator
     list.  Raises CapacityError when the group outgrows the element cap.
+
+    The table comes from the Cayley graph the BFS walks: ``right[j][i]`` is
+    the index of element i times generator j, and each element b after the
+    identity was found as parent*g_j, so column b of the table is
+    ``right[j]`` taken at column parent, one gather per column.
     """
     if n_points < 1:
         raise DomainError("n_points must be positive")
@@ -289,26 +336,36 @@ def build_from_generators(n_points, generators):
         if len(g) != n_points or sorted(g) != list(range(n_points)):
             raise DomainError(f"generator {g} is not a permutation of 0..{n_points - 1}")
         gens.append(g)
-    if not gens:
+    if not gens or n_points == 1:
         return GroupTable([[0]])
+    import numpy as np
+
+    # the product e*g acts as (e*g)(x) = e[g[x]]: a tuple, as n_points > 1
+    times = [itemgetter(*g) for g in gens]
     ident = tuple(range(n_points))
     elems = [ident]
     index = {ident: 0}
-    head = 0
-    while head < len(elems):
-        e = elems[head]
-        head += 1
-        for g in gens:
-            # product e*g acting as (e*g)(x) = e[g[x]]
-            p = tuple(e[g[x]] for x in range(n_points))
-            if p not in index:
+    right = [[] for _ in gens]
+    found_as = [None]  # (parent, j) of each element after the identity
+    for head, e in enumerate(elems):  # elems grows while it is walked
+        for j, g in enumerate(times):
+            p = g(e)
+            i = index.get(p)
+            if i is None:
                 config.check_order(len(elems) + 1)
-                index[p] = len(elems)
+                i = index[p] = len(elems)
                 elems.append(p)
-    points = range(n_points)
-    return GroupTable(
-        [[index[tuple(ea[eb[x]] for x in points)] for eb in elems] for ea in elems]
-    )
+                found_as.append((head, j))
+            right[j].append(i)
+    n = len(elems)
+    dtype = table_dtype(n)
+    right = np.array(right, dtype=dtype)
+    cols = np.empty((n, n), dtype=dtype)  # cols[b][a] is the index of a*b
+    cols[0] = np.arange(n, dtype=dtype)
+    for b in range(1, n):
+        parent, j = found_as[b]
+        np.take(right[j], cols[parent], out=cols[b], mode="clip")
+    return GroupTable(cols.T)
 
 
 def cyclic_mult(n):

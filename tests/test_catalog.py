@@ -18,8 +18,11 @@ from compseries.catalog import (
     Abelian,
     Alternating,
     Cyclic,
+    Dihedral,
     DirectProduct,
     ElemAbelian,
+    QuaternionQ8,
+    Symmetric,
     abelian_prime_partitions,
     is_abelian_spec,
     is_cyclic_spec,
@@ -199,6 +202,42 @@ def test_realized_tables_keep_their_numbering():
     # as every table read when products were built in int64 and cast down
     combined = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert combined == "0f2318d70b30a5243786f126676b5aed5b8be8037fbfc337972aa741f5e2eb37"
+
+
+# MD5 of mult.tobytes() for each permutation atom of the roster, and for two
+# dihedral groups past it, as recorded when every table entry was composed
+# from two permutation tuples
+_PERMUTATION_TABLE_MD5 = {
+    "D6": "50347c27fe545cb98599d34324fd4336",
+    "D8": "3fa19c3bd40112ae29e57968ab1fa986",
+    "D10": "b5bf0105cce0cc0ed8fae7a136bdac55",
+    "D12": "63a4d77aa1a0bdb40c1c848f90d2fa29",
+    "D16": "e9de70a067ab7341e2f396b93c5915c2",
+    "D24": "5d68540397d947f861dd619a2d314073",
+    "D32": "bd160ab2c3ab1a04a574cd323005267b",
+    "D64": "3b492e99d4a72c3454a42a99b9e220f7",
+    "Q8": "ce244565a8d547ae010223df70bbe2a8",
+    "S3": "50347c27fe545cb98599d34324fd4336",
+    "S4": "3c5270e84d2c8303c423e75da3d822f7",
+    "S5": "b44b78d5e4798e440484ca39d0960a31",
+    "A4": "f5e522d656a67ac6c1b3febddc80725b",
+    "A5": "71729573ec2ff5e3dc05e48d739eb66a",
+    "D510": "ab94a6bc1311ef0c742f1ce1ba6d857e",
+    "D512": "c2a61679b6ee7ee0353d1fc1e07adb99",
+}
+
+
+def test_permutation_atom_tables_are_pinned():
+    atoms = [
+        name
+        for name, spec in standard_roster(4096)
+        if isinstance(spec, (Dihedral, QuaternionQ8, Symmetric, Alternating))
+    ]
+    assert sorted(atoms + ["D510", "D512"]) == sorted(_PERMUTATION_TABLE_MD5)
+    for name, want in _PERMUTATION_TABLE_MD5.items():
+        G = realize_text(name)
+        assert G.mult.dtype == np.int16, name
+        assert hashlib.md5(G.mult.tobytes()).hexdigest() == want, name
 
 
 def test_roster_specs_and_names_realize_one_numbering():

@@ -730,6 +730,32 @@ def test_cache_key_includes_element_cap(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["cache_hit"] is False
 
 
+def test_cache_entry_written_under_other_sources_misses(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COMPSERIES_CACHE", str(tmp_path))
+    real = cli._source_digest()
+    assert len(real) == 64 and real == cli._source_digest()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    code, rep, _ = run_json(capsys, "count", "--group", "Z60")
+    assert code == 0 and rep["cache_hit"] is False
+    code, rep, _ = run_json(capsys, "count", "--group", "Z60")
+    assert code == 0 and rep["cache_hit"] is True
+    monkeypatch.setattr(cli, "_source_digest", lambda: real)
+    code, rep, _ = run_json(capsys, "count", "--group", "Z60")
+    assert code == 0 and rep["cache_hit"] is False
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_sources_are_not_read_without_a_cache(capsys, monkeypatch):
+    monkeypatch.delenv("COMPSERIES_CACHE", raising=False)
+
+    def refuse():
+        raise AssertionError("the source digest was computed with no cache set")
+
+    monkeypatch.setattr(cli, "_source_digest", refuse)
+    code, rep, _ = run_json(capsys, "count", "--group", "Z60")
+    assert code == 0 and rep["result"]["count"] == "12"
+
+
 def test_no_cache_dir_means_no_files(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("COMPSERIES_CACHE", raising=False)
     run_json(capsys, "count", "--group", "Z60")

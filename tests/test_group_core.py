@@ -120,6 +120,18 @@ def test_table_rejects_nonassociative_loop():
         GroupTable(loop)
 
 
+def test_table_rejects_nonassociative_latin_square_past_the_old_exact_cap():
+    # Z300xZ2 with the intercalate at rows 14, 15 and columns 22, 23 swapped:
+    # still Latin with identity 0, but (x*2)*y != x*(2*y) for some x, y.
+    # 10*N random triples missed it at this order.
+    mult = group_core._product_mult(group_core.cyclic_mult(300), group_core.cyclic_mult(2))
+    rows, cols = [14, 14, 15, 15], [22, 23, 22, 23]
+    assert mult[rows, cols].tolist() == [36, 37, 37, 36]
+    mult[rows, cols] = [37, 36, 36, 37]
+    with pytest.raises(DomainError, match="associativity"):
+        GroupTable(mult)
+
+
 def test_table_rejects_non_square():
     with pytest.raises(DomainError):
         GroupTable([[0, 1]])
