@@ -5,7 +5,8 @@ inside a ``cli.main`` call, or from ``element_cap_in_force`` for library
 callers; ``check_order`` is its one check.  ``check_subgroup_enum`` holds
 ``all_subgroups``, and the normal lattice of an abelian group, which is its
 whole subgroup lattice, to an order cap; ``check_join_count`` holds every
-join closure to a cap on the subgroups it finds.
+join closure to a cap on the subgroups it finds, or will find when their
+number is known in advance.
 """
 
 import os
@@ -21,13 +22,6 @@ SUBGROUP_ENUM_CAP = 256
 
 # subgroups one join closure may find: above E(2,7)'s 29,212, below E(2,8)'s
 SUBGROUP_JOIN_CAP = 2**15
-
-# Associativity is checked exactly up to this order, by Light's test: two
-# N x N gathers per generator of a greedy generating set.  Above it, 10*N
-# random triples, which cost less there: on a 2-CPU x86 host, realizing
-# A5xA5 (order 3600) takes 0.31-0.36 s with the exact test and 0.19-0.25 s
-# with the triples, and E(2,12) 0.73-0.76 s against 0.40-0.47 s.
-ASSOC_FULL_CHECK_CAP = 1024
 
 DEFAULT_SWEEP_CAP = 10**12
 
@@ -80,7 +74,7 @@ def check_subgroup_enum(n):
 
 
 def check_join_count(n):
-    """A CapacityError when a join closure has found ``n`` subgroups, past its cap."""
+    """A CapacityError when a join closure finds ``n`` subgroups, past its cap."""
     if n > SUBGROUP_JOIN_CAP:
         raise CapacityError(f"{n} subgroups exceed the join-closure cap {SUBGROUP_JOIN_CAP}")
 

@@ -2,17 +2,19 @@
 
 Elements are indices 0..N-1 with the identity fixed at index 0.  Subgroups are
 immutable member tuples backed by a bit mask.  Everything here is a pure
-function of its inputs.  A table's ``mult`` and ``inv`` are read-only; what is
-derived from them is cached on the table when first asked for: ``_rows`` and
-``_inv_list`` here, ``_normal_cache`` (the bit masks of the normal lattice)
-and ``_slices`` (the coordinate slices of an elementary abelian 2-group) by
-``lattice``, and ``_series_count`` by ``series``.
+function of its inputs.  A table's ``mult`` and ``inv`` are read-only, and
+``_gens``, the generators that its validation picked, is fixed with them;
+what is derived from them is cached on the table when first asked for:
+``_rows`` and ``_inv_list`` here, ``_normal_cache`` (the bit masks of the
+normal lattice) and ``_slices`` (the coordinate slices of an elementary
+abelian 2-group) by ``lattice``, and ``_series_count`` by ``series``.
 
 This is the one module that imports numpy, and only inside the functions
-that build or validate a table (``GroupTable``, ``table_dtype``,
-``build_from_generators``, ``cyclic_mult``).  Importing numpy takes about 0.1 s, most of the package's
-import time, and the bound, the sweep, the catalog and the formula counts
-build no table, so a run pays for numpy only when it realizes a group.
+that build or validate a table (``GroupTable``, ``_law_failure``,
+``table_dtype``, ``build_from_generators``, ``cyclic_mult``).  Importing
+numpy takes about 0.1 s, most of the package's import time, and the bound,
+the sweep, the catalog and the formula counts build no table, so a run pays
+for numpy only when it realizes a group.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import CapacityError, DomainError
 # table would cost hundreds of MB).
 _SMALL_N = 1024
 
+# Light's test gathers blocks of about this many table entries, whole rows,
+# into two preallocated buffers: 256 KB each in int16, at every order.
+_BLOCK_ENTRIES = 2**17
+
 
 def table_dtype(n):
     """Index dtype of an order-n table: int16 up to order 32,767, int32 above."""
@@ -42,15 +48,18 @@ class GroupTable:
     """A finite group of order N given by its full N x N multiplication table.
 
     ``mult[a][b]`` is the index of a*b, ``inv[a]`` the index of a^-1, and the
-    identity is always index 0.  Identity, Latin-square and associativity laws
-    are checked on construction; the inverse law follows, since each Latin
-    row holds one 0.
+    identity is always index 0.  Construction checks, at every order, three
+    laws, each exactly: the identity law, a right inverse for every element
+    (``mult[a][inv[a]] == 0``, in O(N)), and associativity.  Together they
+    make the table a group: a right inverse b of a is also a left inverse,
+    as with c a right inverse of b, b*a = b*a*(b*c) = b*(a*b)*c = b*c = 1.
+    A group's table is a Latin square, so no row or column is sorted unless
+    a law fails; then the Latin check runs first, for its message.
 
-    Associativity is checked exactly up to ``ASSOC_FULL_CHECK_CAP`` by
-    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
-    I, 1961, section 1.2), in O(N^2) per generator, and by random triples
-    above that.  Call a good if (x*a)*y = x*(a*y) for all x, y.  The
-    identity is good, and so is a*b when a and b are:
+    Associativity is checked by Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, section 1.2).  Call a good if
+    (x*a)*y = x*(a*y) for all x, y.  The identity is good, and so is a*b
+    when a and b are:
 
         (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
 
@@ -58,8 +67,10 @@ class GroupTable:
     by right products with a set of good elements, every element is good
     and the table is associative.  The set is picked greedily on the table
     itself (``_light_generators``), so the test is sound whether or not the
-    table comes from a group; each element of the set costs two N x N
-    gathers.
+    table comes from a group, and it is kept as ``_gens``: the group's
+    generators.  Each element of the set costs two gathers of the table,
+    made one block of rows at a time into two buffers of about
+    ``_BLOCK_ENTRIES`` entries, so the check allocates nothing of size N x N.
     """
 
     def __init__(self, mult):
@@ -76,21 +87,18 @@ class GroupTable:
             raise DomainError(f"table entries must be integers, not {mult.dtype}")
         if mult.min() < 0 or mult.max() >= n:
             raise DomainError("table entries out of range")
-        dtype = table_dtype(n)
-        mult = np.ascontiguousarray(mult, dtype=dtype)  # no copy when already so
+        mult = np.ascontiguousarray(mult, dtype=table_dtype(n))  # no copy when already so
         self.order = n
         self.mult = mult
         self.mult.setflags(write=False)
         self.identity = 0
-        # exactly one zero per row once the Latin property holds
-        self.inv = np.argmax(mult == 0, axis=1).astype(dtype)
-        self.inv.setflags(write=False)
         self._rows = None
         self._inv_list = None
         self._normal_cache = None
         self._slices = None
         self._series_count = None
-        self._validate()
+        self._validate()  # sets inv and _gens
+        self.inv.setflags(write=False)
 
     def _validate(self):
         import numpy as np
@@ -100,30 +108,25 @@ class GroupTable:
         ar = np.arange(n, dtype=mult.dtype)
         if not (np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)):
             raise DomainError("identity law violated at index 0")
-        # one buffer, sorted in place along its contiguous axis: the rows,
-        # then the columns as rows of the transpose
-        lines = np.empty_like(mult)
-        for what, src in (("row", mult), ("column", mult.T)):
-            lines[...] = src
-            lines.sort(axis=1)
-            if not np.array_equal(lines, np.broadcast_to(ar, (n, n))):
-                raise DomainError(f"some {what} is not a permutation (Latin square violated)")
-        if n <= config.ASSOC_FULL_CHECK_CAP:
-            # the same two n x n buffers for every a: past malloc's mmap
-            # threshold, a fresh pair each time costs mmaps and page faults
-            left, right = lines, np.empty_like(mult)
-            for a in _light_generators(mult):
-                # (x*a)*y vs x*(a*y) for all x, y; every index is in range
-                np.take(mult, mult[:, a], axis=0, out=left, mode="clip")
-                np.take(mult, mult[a], axis=1, out=right, mode="clip")
-                if not np.array_equal(left, right):
-                    raise DomainError(f"associativity fails with middle factor {a}")
-        else:
-            rng = np.random.default_rng(0)
-            trip = rng.integers(0, n, size=(10 * n, 3))
-            a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-            if not np.array_equal(mult[mult[a, b], c], mult[a, mult[b, c]]):
-                raise DomainError("associativity fails on sampled triples")
+        step = min(n, max(1, _BLOCK_ENTRIES // n))
+        # per block of rows: argmin copies a read-only array whole
+        inv = np.concatenate([mult[r : r + step].argmin(axis=1) for r in range(0, n, step)])
+        self.inv = inv.astype(mult.dtype)
+        if mult[ar, self.inv].any():
+            raise _law_failure(mult, "some element has no right inverse")
+        self._gens = _light_generators(mult)
+        left = np.empty((step, n), dtype=mult.dtype)
+        right = np.empty_like(left)
+        for a in self._gens:
+            a_times = mult[a].astype(np.intp)  # a*y for every y
+            for r in range(0, n, step):
+                block = mult[r : r + step]
+                m = block.shape[0]
+                # (x*a)*y vs x*(a*y) for the block's x and all y; every index is in range
+                np.take(mult, block[:, a], axis=0, out=left[:m], mode="clip")
+                np.take(block, a_times, axis=1, out=right[:m], mode="clip")
+                if not np.array_equal(left[:m], right[:m]):
+                    raise _law_failure(mult, f"associativity fails with middle factor {a}")
 
     def rows(self):
         """Table rows for scalar loops: ``rows()[a][b]`` is the index of a*b.
@@ -145,10 +148,32 @@ class GroupTable:
 
     @cached_property
     def is_abelian(self):
-        return bool((self.mult == self.mult.T).all())
+        """True iff the generators ``_gens`` commute, which makes the group abelian."""
+        m, gens = self.mult, self._gens
+        return all(m[a, b] == m[b, a] for i, a in enumerate(gens) for b in gens[:i])
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
+
+
+def _law_failure(mult, message):
+    """The DomainError for a table that fails a group law.
+
+    It says that some row, else some column, is not a permutation when one
+    is not, and carries ``message`` otherwise; the rows, then the columns as
+    rows of the transpose, are sorted in place in one N x N buffer.
+    """
+    import numpy as np
+
+    n = mult.shape[0]
+    ar = np.arange(n, dtype=mult.dtype)
+    lines = np.empty_like(mult)
+    for what, src in (("row", mult), ("column", mult.T)):
+        lines[...] = src
+        lines.sort(axis=1)
+        if not np.array_equal(lines, np.broadcast_to(ar, (n, n))):
+            return DomainError(f"some {what} is not a permutation (Latin square violated)")
+    return DomainError(message)
 
 
 def _light_generators(mult):
@@ -156,7 +181,8 @@ def _light_generators(mult):
 
     Each is the least index not yet reached by right products with the
     earlier ones.  Only the table's own products are used, so no law is
-    assumed: a Latin square with identity qualifies.
+    assumed but the identity law, by which each chosen a is reached as 0*a.
+    In a group they generate the group.
     """
     n = mult.shape[0]
     reached = bytearray(n)
@@ -401,24 +427,25 @@ def _product_mult(t1, t2):
 
 
 def is_normal(G, H):
-    """True iff g h g^-1 lies in H for all g in G, h in H."""
+    """True iff g h g^-1 lies in H for all g in G, h in H: for g among ``G._gens``."""
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
-    if G.is_abelian:
-        return True
-    return _members_normal_in(G, H.members, range(G.order))
+    return G.is_abelian or _members_normal_in(G, H.members, range(G.order), G._gens)
 
 
-def _members_normal_in(G, inner, outer):
+def _members_normal_in(G, inner, outer, outer_gens=None):
     """Is the subgroup ``inner`` normal inside the subgroup ``outer`` (raw tuples)?
 
-    Conjugating the generators of ``inner`` by those of ``outer`` suffices.
+    Conjugating the generators of ``inner`` by those of ``outer`` suffices;
+    ``outer_gens``, when given, generate ``outer``, which is then not closed.
     """
     if len(inner) in (1, len(outer)):
         return True
+    if outer_gens is None:
+        outer_gens = _dimino_close(G, outer)[2]
     _, flags, gens = _dimino_close(G, inner)
     rows, inv = G.rows(), G.inv_list()
-    for g in _dimino_close(G, outer)[2]:
+    for g in outer_gens:
         rg, ig = rows[g], inv[g]
         for h in gens:
             if not flags[rows[rg[h]][ig]]:

@@ -81,6 +81,7 @@ def _subgroup_set(G, masks):
 def all_subgroups(G):
     """Every subgroup of G exactly once: the joins of its cyclic subgroups."""
     config.check_subgroup_enum(G.order)
+    _check_subspace_count(G, (1 << G.order) - 1)
     return _subgroup_set(G, _join_closure(G, [(g,) for g in range(1, G.order)]))
 
 
@@ -93,11 +94,29 @@ def normal_member_sets(G, mask):
     whole = mask == (1 << G.order) - 1
     if whole and G._normal_cache is not None:
         return G._normal_cache
+    _check_subspace_count(G, mask)
     classes = [c for c in classes_of_members(G, members_of(mask)) if c != (0,)]
     out = _join_closure(G, classes)
     if whole:
         G._normal_cache = out
     return out
+
+
+def _check_subspace_count(G, mask):
+    """Refuse, before any join is built, a lattice of F_2^r past the join cap.
+
+    When G is an elementary abelian 2-group, the subgroup H of bit mask
+    ``mask`` is F_2^r with 2^r = |H|, and its subgroups, all normal, number
+    the sum over j of the Gaussian binomials [r j]_2; other tables are held
+    by the count inside ``_join_closure``.
+    """
+    if _coordinate_slices(G):
+        r = mask.bit_count().bit_length() - 1
+        total, term = 0, 1
+        for j in range(r + 1):
+            total += term  # term = [r j]_2
+            term = term * (2 ** (r - j) - 1) // (2 ** (j + 1) - 1)
+        config.check_join_count(total)
 
 
 def _join_closure(G, seeds):

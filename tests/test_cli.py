@@ -645,7 +645,18 @@ def test_lattice_past_the_join_cap_exits_4(capsys, monkeypatch, what):
     code, out, err = run(capsys, "lattice", "--group", "E(2,6)", "--what", what)
     assert time.monotonic() - t0 < 2
     assert code == 4 and out == ""
-    assert err == "error: 1001 subgroups exceed the join-closure cap 1000\n"
+    # the subspace count of F_2^6 refuses it before any join is built
+    assert err == "error: 2825 subgroups exceed the join-closure cap 1000\n"
+
+
+@pytest.mark.parametrize("what", ["subgroups", "normal"])
+def test_lattice_past_the_join_cap_inside_the_closure_exits_4(capsys, monkeypatch, what):
+    # E(2,5)xZ3 has 748 subgroups; not an elementary abelian 2-group, so the
+    # closure's own count stops it
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 500)
+    code, out, err = run(capsys, "lattice", "--group", "E(2,5)xZ3", "--what", what)
+    assert code == 4 and out == ""
+    assert err == "error: 501 subgroups exceed the join-closure cap 500\n"
 
 
 def test_lattice_of_e28_exits_4_at_the_join_cap(capsys):
@@ -855,3 +866,21 @@ def test_table_free_commands_never_load_numpy():
     assert not seen["table_free"]
     # the first table loads it, so the checks above cannot pass vacuously
     assert seen["s4_code"] == 0 and seen["s4"]
+
+
+def test_count_of_a_large_table_never_loads_numpy_random():
+    # A5xS4 has order 1440: its table is validated without sampled triples
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from compseries import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['count', '--group', 'A5xS4', '--json'])\n"
+        "count = json.loads(out.getvalue())['result']['count']\n"
+        "print(json.dumps([code, count, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, "15", True, False]

@@ -1,6 +1,7 @@
 """Group table construction, closure, normality, quotients, conjugacy."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,16 +121,48 @@ def test_table_rejects_nonassociative_loop():
         GroupTable(loop)
 
 
-def test_table_rejects_nonassociative_latin_square_past_the_old_exact_cap():
-    # Z300xZ2 with the intercalate at rows 14, 15 and columns 22, 23 swapped:
-    # still Latin with identity 0, but (x*2)*y != x*(2*y) for some x, y.
-    # 10*N random triples missed it at this order.
-    mult = group_core._product_mult(group_core.cyclic_mult(300), group_core.cyclic_mult(2))
+@pytest.mark.parametrize("cyc", [300, 600], ids=["Z300xZ2", "Z600xZ2"])
+def test_table_rejects_nonassociative_latin_square_past_the_old_exact_cap(cyc):
+    # Z300xZ2 (order 600) and Z600xZ2 (order 1200) with the intercalate at
+    # rows 14, 15 and columns 22, 23 swapped: still Latin with identity 0, but
+    # (x*2)*y != x*(2*y) for some x, y.  10*N random triples missed both.
+    mult = group_core._product_mult(group_core.cyclic_mult(cyc), group_core.cyclic_mult(2))
     rows, cols = [14, 14, 15, 15], [22, 23, 22, 23]
     assert mult[rows, cols].tolist() == [36, 37, 37, 36]
     mult[rows, cols] = [37, 36, 36, 37]
     with pytest.raises(DomainError, match="associativity"):
         GroupTable(mult)
+
+
+def test_table_rejects_a_swapped_intercalate_in_any_row_block():
+    # In Z300xZ2, rows 2k, 2k+1 and columns 2j, 2j+1 hold an intercalate
+    # [[v, v+1], [v+1, v]].  Swapped, the table stays Latin with identity 0 but
+    # is no group.  Light's test reads its 600 rows in blocks of 218, 218 and
+    # 164; the swapped rows lie in the first block, at both sides of the first
+    # boundary, and at the end of the last block.
+    base = group_core._product_mult(group_core.cyclic_mult(300), group_core.cyclic_mult(2))
+    assert group_core._BLOCK_ENTRIES // 600 == 218
+    for k in (1, 108, 109, 110, 299):
+        mult = base.copy()
+        rows, cols = [2 * k, 2 * k, 2 * k + 1, 2 * k + 1], [22, 23, 22, 23]
+        mult[rows, cols] = mult[rows, cols][[1, 0, 3, 2]]
+        with pytest.raises(DomainError, match="associativity"):
+            GroupTable(mult)
+
+
+def test_table_validation_allocates_no_square_temporary():
+    # the A5xS4 product array is 1440 x 1440 int16, 3.96 MiB; the Latin sorts
+    # and the whole-table gathers of Light's test peaked at 5.95 MiB
+    a5, s4 = realize_text("A5"), realize_text("S4")
+    mult = group_core._product_mult(a5.mult, s4.mult)
+    tracemalloc.start()
+    try:
+        G = GroupTable(mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 1440 and G.mult is mult
+    assert peak < 2**20, peak
 
 
 def test_table_rejects_non_square():
@@ -141,6 +174,16 @@ def test_inverse_table():
     G = realize_text("Z12")
     for x in range(12):
         assert G.mult[x, G.inv[x]] == 0
+
+
+def test_is_abelian_is_whether_the_generators_commute(roster_tables, realized):
+    tables = [G for _, _, G in roster_tables if G.order <= 128]
+    tables += [realized("A5xS4"), realized("Z600xZ2")]
+    # generators (1, 2, 4, 8), of which only the last pair fails to commute
+    tables.append(realize_text("S3xZ2xZ2"))
+    assert {G.is_abelian for G in tables} == {True, False}
+    for G in tables:
+        assert G.is_abelian == bool((G.mult == G.mult.T).all()), G
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from compseries import (
     DomainError,
     all_subgroups,
     build_from_generators,
+    config,
     is_normal,
     lattice,
     maximal_normal_subgroups,
@@ -15,7 +16,7 @@ from compseries import (
     normal_subgroups,
 )
 from compseries.catalog import realize, realize_text, standard_roster
-from compseries.group_core import _members_normal_in, mask_of
+from compseries.group_core import _members_normal_in, close_members, mask_of
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -96,6 +97,37 @@ def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, j
     monkeypatch.setattr(lattice, "extend_members", counting)
     assert len(all_subgroups(realize_text(text))) == subgroups
     assert len(calls) == joins
+
+
+# subspaces of F_2^k, k = 1..8: the sums of the Gaussian binomials [k j]_2
+SUBSPACE_COUNTS = [2, 5, 16, 67, 374, 2825, 29212, 417199]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subspace_count_refuses_an_elementary_abelian_lattice_before_any_join(
+    monkeypatch, realized, k
+):
+    G = realized(f"E(2,{k})")
+    count, whole = SUBSPACE_COUNTS[k - 1], (1 << G.order) - 1
+    if k <= 5:
+        assert len(all_subgroups(G)) == count
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", count)
+    lattice._check_subspace_count(G, whole)  # exactly at the cap: allowed
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", count - 1)
+
+    def no_join(*args):
+        raise AssertionError("a join closure ran")
+
+    monkeypatch.setattr(lattice, "_join_closure", no_join)
+    for build in (all_subgroups, lambda G: normal_member_sets(G, whole)):
+        with pytest.raises(CapacityError, match=f"^{count} subgroups exceed"):
+            build(G)
+    if k >= 3:
+        # a subgroup of order 4 is F_2^2, with 5 subgroups
+        plane = mask_of(close_members(G, [1, 2]))
+        monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 4)
+        with pytest.raises(CapacityError, match="^5 subgroups exceed"):
+            normal_member_sets(G, plane)
 
 
 @pytest.mark.parametrize("text", ["S4", "D8xZ3", "A4xZ2", "S3xS3", "Q8xS4", "A5"])
