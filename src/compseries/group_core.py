@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count
-from operator import itemgetter
+from operator import index, itemgetter
 
 from . import config
 from .errors import CapacityError, DomainError
@@ -204,42 +204,47 @@ def _light_generators(mult):
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent`` stored as a sorted member tuple.
+    """A subgroup of ``parent`` stored as a sorted member tuple and its bit mask.
 
-    Construction verifies the identity bit, closure under multiplication
-    (inverse closure follows in a finite group) and Lagrange's theorem.
+    Construction verifies, on the mask, the range of every member, the
+    identity bit, Lagrange's theorem and closure under multiplication
+    (inverse closure follows in a finite group).
     """
 
     parent: GroupTable
     members: tuple
 
     def __post_init__(self):
-        mem = tuple(sorted(set(int(x) for x in self.members)))
-        object.__setattr__(self, "members", mem)
-        n = self.parent.order
-        if not mem or mem[0] != 0:
-            raise DomainError("subgroup must contain the identity (index 0)")
-        if mem[-1] >= n:
+        members = [_index(x, "member") for x in self.members]
+        if any(not 0 <= x < self.parent.order for x in members):
             raise DomainError("member index out of range")
-        if n % len(mem) != 0:
-            raise DomainError("subgroup order does not divide group order (Lagrange)")
-        self._check_closed()
+        self._adopt(mask_of(members))
 
     @classmethod
     def from_mask(cls, parent, mask):
-        """The subgroup of bit mask ``mask``, validated as usual; it keeps the mask."""
-        sub = cls(parent, members_of(mask))
-        sub.__dict__["mask"] = mask
+        """The subgroup of bit mask ``mask``, validated as ``Subgroup(parent, members)`` is."""
+        sub = cls.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        sub._adopt(mask)
         return sub
 
-    def _check_closed(self):
-        mem = self.members
-        if len(mem) < self.parent.order and close_members(self.parent, mem) != mem:
+    def _adopt(self, mask):
+        G, n = self.parent, self.parent.order
+        if mask.bit_length() > n:
+            raise DomainError("member index out of range")
+        if not mask & 1:
+            raise DomainError("subgroup must contain the identity (index 0)")
+        members = members_of(mask)
+        if n % len(members) != 0:
+            raise DomainError("subgroup order does not divide group order (Lagrange)")
+        # S lies in <S>, so S is closed iff one Dimino pass over S builds |S| elements
+        closure, flags = [0], bytearray(n)
+        flags[0] = 1
+        extend_members(G, closure, flags, [], members)
+        if len(closure) != len(members):
             raise DomainError("subgroup not closed under multiplication")
-
-    @cached_property
-    def mask(self):
-        return mask_of(self.members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def order(self):
@@ -264,6 +269,13 @@ class Subgroup:
 
 # ---------------------------------------------------------------------------
 # closure machinery on raw member tuples
+
+
+def _index(x, what):
+    """``x`` by ``operator.index``, refusing a bool and a non-integer."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise DomainError(f"{what} {x!r} is not an integer index")
+    return index(x)
 
 
 def mask_of(members):
@@ -295,7 +307,7 @@ def _dimino_close(G, seed):
     ``flags`` has one byte per element of G, set for the members; the
     generators are a greedy generating set (see ``extend_members``).
     """
-    seed = [int(x) for x in seed]
+    seed = [_index(x, "seed") for x in seed]
     for x in seed:
         if not 0 <= x < G.order:
             raise DomainError(f"seed index {x} out of range")

@@ -123,7 +123,7 @@ def _join_closure(G, seeds):
     """Bit masks of every join of the subgroups <seed>, the trivial one included.
 
     The seeds are grouped by the atom <seed> they generate, and the atoms are
-    taken one at a time; after atom i, ``found`` holds every join of atoms
+    taken one at a time; after atom i, ``masks`` holds every join of atoms
     1..i.  A seed is a single element, or a class of a subgroup H in which
     every join is normal, so a join that holds a seed holds its atom.  A join
     J is extended by atom i, whose first seed element is g, unless J*g meets
@@ -132,8 +132,9 @@ def _join_closure(G, seeds):
     atoms whose join with K's earlier atoms is K, and J that earlier join.  J
     misses atom i, so J*g lies in K outside J, while every earlier seed in K
     lies in J; so J passes and K = <J, atom i> is built.  A non-trivial J
-    holding g is skipped too, as J*g = J holds an earlier seed.  Joins are
-    keyed by their flag bytes, so a mask is built once per new subgroup;
+    holding g is skipped too, as J*g = J holds an earlier seed.  So the joins
+    that pass are picked from the masks alone before any is copied.  Joins
+    are keyed by their flag bytes, so a mask is built once per new subgroup;
     config caps their number.
     """
     atoms = {}
@@ -142,23 +143,24 @@ def _join_closure(G, seeds):
     rows, inv = G.rows(), G.inv_list()
     trivial = bytearray(G.order)
     trivial[0] = 1
-    # flag bytes -> (members, generators, mask)
-    found = {bytes(trivial): ([0], [], 1)}
+    # joins[i] = (members, flag bytes, generators) of the join of bit mask masks[i]
+    joins, masks, keys = [([0], bytes(trivial), [])], [1], {bytes(trivial)}
     taken = []
     for seed in atoms.values():
         g_inv = inv[seed[0]]
         behind = mask_of(rows[e][g_inv] for e in taken)
-        for key, (members, gens, mask) in list(found.items()):
-            if mask & behind:
-                continue
+        for i in [i for i, m in enumerate(masks) if not m & behind]:
+            members, key, gens = joins[i]
             join, flags, jgens = list(members), bytearray(key), list(gens)
             extend_members(G, join, flags, jgens, seed)
-            jkey = bytes(flags)
-            if jkey not in found:
-                found[jkey] = (join, jgens, mask_of(join))
-                config.check_join_count(len(found))
+            key = bytes(flags)
+            if key not in keys:
+                keys.add(key)
+                joins.append((join, key, jgens))
+                masks.append(mask_of(join))
+                config.check_join_count(len(masks))
         taken += seed
-    return [entry[2] for entry in found.values()]
+    return masks
 
 
 def normal_subgroups(G):
@@ -227,13 +229,16 @@ def maximal_normal_member_sets(G, mask):
         if slices:
             # H is a subspace of F_2^n, so each map H -> Z_2 is a coordinate map
             # cut down to H; odd sets add by XOR and differ for distinct maps,
-            # so the span holds each map's odd set once
-            span = {0}
+            # so the span, doubled by each new cut slice, holds each of the |H|
+            # maps' odd sets once; kept as mask ^ odd, the map 0 first
+            hyperplanes = [mask]
             for s in slices:
                 odd = s & mask
-                if odd not in span:
-                    span |= {x ^ odd for x in span}
-            return [mask ^ odd for odd in span if odd]
+                if mask ^ odd not in hyperplanes:
+                    hyperplanes += [x ^ odd for x in hyperplanes]
+                    if len(hyperplanes) == mask.bit_count():
+                        break
+            return hyperplanes[1:]
         return _prime_index_masks(G, members, (0,))
     d = derived_members(G, members)
     # H is solvable iff H' is

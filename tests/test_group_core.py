@@ -399,6 +399,49 @@ def test_subgroup_requires_identity():
 def test_subgroup_rejects_out_of_range_member():
     with pytest.raises(DomainError, match="out of range"):
         Subgroup(realize_text("Z12"), (0, 12))
+    # a negative member is out of range, not a missing identity
+    with pytest.raises(DomainError, match="^member index out of range$"):
+        Subgroup(realize_text("Z12"), (0, -6))
+
+
+@pytest.mark.parametrize("bad", [6.7, 6.0, "6", True, None])
+def test_non_integer_members_and_seeds_are_refused_not_truncated(bad):
+    G = realize_text("Z12")
+    with pytest.raises(DomainError, match="is not an integer index"):
+        Subgroup(G, (0, bad))
+    for seed in ([bad], [4, bad]):
+        with pytest.raises(DomainError, match="is not an integer index"):
+            generated_subgroup(G, seed)
+        with pytest.raises(DomainError, match="is not an integer index"):
+            close_members(G, seed)
+
+
+def test_integer_like_members_and_seeds_are_accepted():
+    G = realize_text("Z12")
+    assert Subgroup(G, np.array([6, 0, 6])).members == (0, 6)
+    assert generated_subgroup(G, [np.int16(4)]).members == (0, 4, 8)
+    assert close_members(G, np.array([3])) == (0, 3, 6, 9)
+
+
+# Z1030 lies above group_core._SMALL_N, so its rows are memoryviews
+@pytest.mark.parametrize("text", ["Z12", "Z1030"])
+def test_subgroup_from_mask_raises_the_tuple_constructors_errors(text):
+    G = realize_text(text)
+    n = G.order
+    non_divisor = next(k for k in range(2, n) if n % k)
+    cases = [
+        ((1, 2), "subgroup must contain the identity"),
+        ((0, n), "member index out of range"),
+        (tuple(range(non_divisor)), "Lagrange"),
+        ((0, 1), "not closed"),  # 2 divides n, and 1 + 1 = 2 is not a member
+    ]
+    for members, message in cases:
+        with pytest.raises(DomainError, match=message) as by_tuple:
+            Subgroup(G, members)
+        with pytest.raises(DomainError, match=message) as by_mask:
+            Subgroup.from_mask(G, mask_of(members))
+        assert str(by_mask.value) == str(by_tuple.value), members
+    assert Subgroup.from_mask(G, mask_of((0, n // 2))).members == (0, n // 2)
 
 
 # ---------------------------------------------------------------------------
