@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 domain/internal error, 2 parse error, 3 cross-check
 mismatch, 4 capacity error, 5 sweep violation.  An element cap that is not an
 integer (COMPSERIES_ELEMENT_CAP=abc) exits 2; a cap <= 0, from the variable or
-from --element-cap, exits 1.  ``bound N`` with floor(log2 N) above
-``config.BOUND_LOG2_CAP`` exits 4, and so does ``count`` of a spec whose order
-is that large, or whose cyclic order or prime is too large to factor; a spec
-whose integers alone show it that large exits 4 before anything is built.
+from --element-cap, exits 1, and so does ``verify --order-cap`` <= 0.
+``bound N`` with floor(log2 N) above ``config.BOUND_LOG2_CAP`` exits 4, and
+so does ``count`` of a spec whose order is that large, or whose cyclic order
+or prime is too large to factor; a spec whose integers alone show it that
+large exits 4 before anything is built.
 ``enumerate`` streams its chains.  A reader that closes stdout's pipe early
 ends any command with exit 0; a write error on an ``--output`` file exits 1.
 Counts are serialized as decimal strings of any length, so arbitrary
@@ -354,6 +355,7 @@ def cmd_verify(args):
     from .verification import run_verify
 
     t0 = time.monotonic()
+    config.check_positive_cap(args.order_cap, "--order-cap")
     rows = run_verify(args.order_cap)
     report = _base_report("verify", {"order_cap": args.order_cap}, t0)
     report["result"] = {
@@ -491,7 +493,7 @@ def main(argv=None):
         if args.element_cap is None:
             args.element_cap = config.element_cap()
         else:
-            config.check_element_cap(args.element_cap, "--element-cap")
+            config.check_positive_cap(args.element_cap, "--element-cap")
         # every cap check of the call, the oracle's included, reads the flag
         with config.element_cap_in_force(args.element_cap):
             code = args.func(args)

@@ -48,10 +48,10 @@ def element_cap():
         raise SpecParseError(
             f"COMPSERIES_ELEMENT_CAP must be an integer, got {raw!r}"
         ) from None
-    return check_element_cap(cap, "COMPSERIES_ELEMENT_CAP")
+    return check_positive_cap(cap, "COMPSERIES_ELEMENT_CAP")
 
 
-def check_element_cap(cap, source):
+def check_positive_cap(cap, source):
     """cap itself; a DomainError naming ``source`` unless cap is positive."""
     if cap < 1:
         raise DomainError(f"{source} must be positive, got {cap}")

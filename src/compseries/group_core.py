@@ -9,6 +9,12 @@ what is derived from them is cached on the table when first asked for:
 normal lattice) and ``_slices`` (the coordinate slices of an elementary
 abelian 2-group) by ``lattice``, and ``_series_count`` by ``series``.
 
+Element indices are checked where they enter the package: ``Subgroup``
+checks its members, ``close_members`` (and ``generated_subgroup`` through
+it) its seeds, each an integer in range.  The internal closure,
+``_dimino_close``, trusts its seeds, which come from a table or a checked
+subgroup, and so do the predicates on member tuples.
+
 This is the one module that imports numpy, and only inside the functions
 that build or validate a table (``GroupTable``, ``_law_failure``,
 ``table_dtype``, ``build_from_generators``, ``cyclic_mult``).  Importing
@@ -297,7 +303,14 @@ def members_of(mask):
 
 
 def close_members(G, seed):
-    """Smallest subgroup of G containing ``seed``, as a sorted member tuple."""
+    """Smallest subgroup of G containing ``seed``, as a sorted member tuple.
+
+    Each seed must be an integer index of G; that is checked here.
+    """
+    seed = [_index(x, "seed") for x in seed]
+    for x in seed:
+        if not 0 <= x < G.order:
+            raise DomainError(f"seed index {x} out of range")
     return tuple(sorted(_dimino_close(G, seed)[0]))
 
 
@@ -305,12 +318,9 @@ def _dimino_close(G, seed):
     """Closure of ``seed`` as (members in discovery order, flags, generators).
 
     ``flags`` has one byte per element of G, set for the members; the
-    generators are a greedy generating set (see ``extend_members``).
+    generators are a greedy generating set (see ``extend_members``).  The
+    seed indices are trusted: they come from the table or a checked subgroup.
     """
-    seed = [_index(x, "seed") for x in seed]
-    for x in seed:
-        if not 0 <= x < G.order:
-            raise DomainError(f"seed index {x} out of range")
     members = [0]
     flags = bytearray(G.order)
     flags[0] = 1
@@ -470,14 +480,17 @@ def conjugacy_classes(G):
     return classes_of_members(G, tuple(range(G.order)))
 
 
-def classes_of_members(G, members):
+def classes_of_members(G, members, gens=None):
     """Conjugacy classes of the subgroup ``members`` under its own conjugation.
 
     Each class is the orbit of an element under conjugation by the
-    generators; classes come in the order of their first element in ``members``.
+    generators, ``gens`` when given, else found by closing ``members``;
+    classes come in the order of their first element in ``members``.
     """
+    if gens is None:
+        gens = _dimino_close(G, members)[2]
     rows, inv = G.rows(), G.inv_list()
-    conj = [(rows[g], inv[g]) for g in _dimino_close(G, members)[2]]
+    conj = [(rows[g], inv[g]) for g in gens]
     seen = bytearray(G.order)
     out = []
     for x in members:
@@ -495,43 +508,51 @@ def classes_of_members(G, members):
     return out
 
 
-def derived_members(G, members):
+def derived_members(G, members, gens=None):
     """Commutator subgroup of the subgroup ``members``, as a member tuple.
 
     It is the normal closure in ``members`` of the commutators of its
-    generators.
+    generators, ``gens`` when given, else found by closing ``members``.
     """
     if len(members) <= 2:
         return (0,)
+    if gens is None:
+        gens = _dimino_close(G, members)[2]
     rows, inv = G.rows(), G.inv_list()
-    hgens = _dimino_close(G, members)[2]
     comms = [
         rows[rows[rows[a][b]][inv[a]]][inv[b]]
-        for i, a in enumerate(hgens)
-        for b in hgens[:i]
+        for i, a in enumerate(gens)
+        for b in gens[:i]
     ]
-    sub, flags, gens = _dimino_close(G, comms)
-    for k in gens:  # gens grows while it is walked
-        extend_members(G, sub, flags, gens, [rows[rows[g][k]][inv[g]] for g in hgens])
+    sub, flags, sub_gens = _dimino_close(G, comms)
+    for k in sub_gens:  # sub_gens grows while it is walked
+        extend_members(G, sub, flags, sub_gens, [rows[rows[g][k]][inv[g]] for g in gens])
     return tuple(sorted(sub))
 
 
-def is_abelian_members(G, members):
+def is_abelian_members(G, members, gens=None):
     """True iff the subgroup ``members`` is abelian: its generators commute.
 
-    ``members`` is not read when G itself is abelian.
+    The generators are ``gens`` when given, else found by closing
+    ``members``; neither is read when G itself is abelian.
     """
     if G.is_abelian:
         return True
+    if gens is None:
+        gens = _dimino_close(G, members)[2]
     rows = G.rows()
-    gens = _dimino_close(G, members)[2]
     return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
 
-def is_solvable_members(G, members):
+def is_solvable_members(G, members, gens=None):
+    """True iff the derived series of the subgroup ``members`` reaches 1.
+
+    ``gens``, when given, generate ``members`` and start the series.
+    """
     cur = members
     while True:
-        nxt = derived_members(G, cur)
+        nxt = derived_members(G, cur, gens)
+        gens = None
         if len(nxt) == 1:
             return True
         if len(nxt) == len(cur):

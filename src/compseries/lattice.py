@@ -39,7 +39,7 @@ from .errors import DomainError
 from .group_core import (
     GroupTable,
     Subgroup,
-    close_members,
+    _dimino_close,
     classes_of_members,
     derived_members,
     extend_members,
@@ -85,17 +85,18 @@ def all_subgroups(G):
     return _subgroup_set(G, _join_closure(G, [(g,) for g in range(1, G.order)]))
 
 
-def normal_member_sets(G, mask):
+def normal_member_sets(G, mask, gens=None):
     """Bit masks of all normal subgroups of the subgroup H of bit mask ``mask``.
 
-    They are the joins of the normal closures of H's conjugacy classes.  The
+    They are the joins of the normal closures of H's conjugacy classes,
+    found by conjugating with H's generators ``gens`` when given.  The
     lattice of the whole group is kept in ``G._normal_cache``.
     """
     whole = mask == (1 << G.order) - 1
     if whole and G._normal_cache is not None:
         return G._normal_cache
     _check_subspace_count(G, mask)
-    classes = [c for c in classes_of_members(G, members_of(mask)) if c != (0,)]
+    classes = [c for c in classes_of_members(G, members_of(mask), gens) if c != (0,)]
     out = _join_closure(G, classes)
     if whole:
         G._normal_cache = out
@@ -139,7 +140,7 @@ def _join_closure(G, seeds):
     """
     atoms = {}
     for seed in seeds:
-        atoms.setdefault(mask_of(close_members(G, seed)), []).extend(seed)
+        atoms.setdefault(mask_of(_dimino_close(G, seed)[0]), []).extend(seed)
     rows, inv = G.rows(), G.inv_list()
     trivial = bytearray(G.order)
     trivial[0] = 1
@@ -223,9 +224,12 @@ def maximal_normal_member_sets(G, mask):
     slices cut down to H.
     """
     slices = _coordinate_slices(G)
-    # an abelian G answers is_abelian_members without reading the members
+    # an abelian G answers is_abelian_members without reading the members or
+    # the generators; otherwise H is closed once, here, for the generators
+    # that is_abelian_members, derived_members and normal_member_sets read
     members = None if slices else members_of(mask)
-    if is_abelian_members(G, members):
+    gens = None if G.is_abelian else _dimino_close(G, members)[2]
+    if is_abelian_members(G, members, gens):
         if slices:
             # H is a subspace of F_2^n, so each map H -> Z_2 is a coordinate map
             # cut down to H; odd sets add by XOR and differ for distinct maps,
@@ -240,11 +244,11 @@ def maximal_normal_member_sets(G, mask):
                         break
             return hyperplanes[1:]
         return _prime_index_masks(G, members, (0,))
-    d = derived_members(G, members)
-    # H is solvable iff H' is
-    if is_solvable_members(G, d):
+    d = derived_members(G, members, gens)
+    # H is solvable iff H' is; a perfect H is its own H', generated by gens
+    if is_solvable_members(G, d, gens if len(d) == len(members) else None):
         return _prime_index_masks(G, members, d)
-    return _maximal_among(normal_member_sets(G, mask), len(members))
+    return _maximal_among(normal_member_sets(G, mask, gens), len(members))
 
 
 def _coordinate_slices(G):
@@ -282,7 +286,7 @@ def _prime_index_masks(G, members, d):
     for p, _ in prime_exponents(len(members) // len(d)):
         powers = {element_power(G, x, p) for x in members}
         # K = d when every p-th power is trivial, as in an elementary abelian H
-        kernel = d if len(powers) == 1 else close_members(G, (*d, *powers))
+        kernel = d if len(powers) == 1 else _dimino_close(G, (*d, *powers))[0]
         coset_of = {}
         masks = {}  # least member -> bit mask of its coset
         for x in members:

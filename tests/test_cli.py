@@ -563,6 +563,15 @@ def test_verify_command(capsys):
     assert len(rep["result"]["checks"]) > 10
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_order_cap_exits_1_before_any_check(capsys, cap):
+    # the coprime and simple-product rows read no order cap, so they alone
+    # would run and pass
+    code, out, err = run(capsys, "verify", "--order-cap", cap)
+    assert code == 1 and out == ""
+    assert err == f"error: --order-cap must be positive, got {cap}\n"
+
+
 def test_verify_plain_report_is_an_aligned_table(capsys):
     code, rep, _ = run_json(capsys, "verify", "--order-cap", "8")
     assert code == 0

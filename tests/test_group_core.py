@@ -24,6 +24,7 @@ from compseries import group_core
 from compseries.catalog import realize_text
 from compseries.config import SUBGROUP_ENUM_CAP, element_cap_in_force
 from compseries.group_core import (
+    _dimino_close,
     _members_normal_in,
     classes_of_members,
     close_members,
@@ -343,6 +344,27 @@ def test_primitives_match_quadratic_definitions(text, realized):
             if normal:
                 table = coset_quotient(G, inner, outer)
                 assert table.mult.tolist() == _ref_coset_quotient(G, inner, outer)
+
+
+def test_primitives_given_generators_match_quadratic_definitions(roster_tables):
+    """On every non-abelian subgroup H of the roster groups of order <= 128,
+    passing a generating set of H gives what closing H's members gives."""
+    rng = random.Random(128)
+    checked = 0
+    for _, _, G in roster_tables:
+        if G.order > 128 or G.is_abelian:
+            continue
+        for H in all_subgroups(G):
+            H = H.members
+            if _ref_is_abelian(G, H):
+                continue
+            # the greedy generators of H's members taken in a shuffled order
+            gens = _dimino_close(G, rng.sample(H, len(H)))[2]
+            assert derived_members(G, H, gens) == derived_members(G, H) == _ref_derived(G, H)
+            assert classes_of_members(G, H, gens) == classes_of_members(G, H) == _ref_classes(G, H)
+            assert is_abelian_members(G, H, gens) is is_abelian_members(G, H) is False
+            checked += 1
+    assert checked == 548  # in 29 non-abelian groups
 
 
 def test_rows_beyond_small_order_match_the_table(realized):

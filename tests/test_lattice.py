@@ -9,12 +9,14 @@ from compseries import (
     all_subgroups,
     build_from_generators,
     config,
+    count_series,
     is_normal,
     lattice,
     maximal_normal_subgroups,
     maximal_subgroups_count,
     normal_subgroups,
 )
+from compseries import group_core
 from compseries.catalog import realize, realize_text, standard_roster
 from compseries.group_core import _members_normal_in, close_members, mask_of
 from compseries.lattice import (
@@ -196,15 +198,46 @@ def test_maximal_normals_reuse_the_normal_lattice(monkeypatch):
     full_lattices = []
     real = lattice.classes_of_members
 
-    def counting(H, members):  # the first step of building a normal lattice
+    def counting(H, members, gens=None):  # the first step of building a normal lattice
         if len(members) == H.order:
             full_lattices.append(H)
-        return real(H, members)
+        return real(H, members, gens)
 
     monkeypatch.setattr(lattice, "classes_of_members", counting)
     assert len(normal_subgroups(G)) == 4
     assert maximal_normal_subgroups(G).orders() == [60, 60]
     assert full_lattices == [G]
+
+
+def test_maximal_normals_close_each_subgroup_once(monkeypatch):
+    """On a non-abelian G each maximal-normal call closes H's members once,
+    for the generators that every predicate it calls is given."""
+    G = realize_text("A5xS4")  # a fresh table: nothing cached on it yet
+    real_close, real_route = group_core._dimino_close, lattice.maximal_normal_member_sets
+    running = []  # H's mask while a maximal-normal call runs
+    closures = []  # per call: closures whose seed is H's members
+
+    def counting_close(H, seed):
+        seed = list(seed)
+        if running and len(seed) == running[0].bit_count() and mask_of(seed) == running[0]:
+            closures[-1] += 1
+        return real_close(H, seed)
+
+    def route(H, mask):
+        running.append(mask)
+        closures.append(0)
+        try:
+            return real_route(H, mask)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(group_core, "_dimino_close", counting_close)
+    monkeypatch.setattr(lattice, "_dimino_close", counting_close)
+    monkeypatch.setattr(lattice, "maximal_normal_member_sets", route)
+    assert count_series(G).value == 15
+    # 13 subgroups H: 4 abelian, 2 solvable non-abelian and 7 non-solvable,
+    # among them A5, whose derived series starts at A5 itself
+    assert closures == [1] * 13
 
 
 def test_z12_maximal_normals():

@@ -262,8 +262,8 @@ def test_count_e26_walks_each_subspace_once(monkeypatch):
         children.append(len(out))
         return out
 
-    def counted_is_abelian(G, members):
-        flag = is_abelian(G, members)
+    def counted_is_abelian(G, members, gens=None):
+        flag = is_abelian(G, members, gens)
         inner[-1].append(flag)
         return flag
 
@@ -274,6 +274,30 @@ def test_count_e26_walks_each_subspace_once(monkeypatch):
     # sum over d of [6 choose d]_2 * (2^d - 1)
     assert sum(children) == 23562
     assert all(flags == [True] for flags in inner)
+
+
+# Products whose factors share no cyclic composition factor obey the product
+# rule c(HxK) = c(H) * c(K) * C(l(H) + l(K), l(H)), l the composition length:
+# every normal subgroup of HxK is then (N n H) x (N n K) (Goursat's lemma), so
+# the series of HxK are the shuffles of those of H and K.  The controls share
+# a cyclic factor, and the rule gives too few for them.
+@pytest.mark.parametrize("text, count", [
+    ("S4xA5", 15),  # 3 * 1 * C(5, 4)
+    ("D8xA5", 28),  # 7 * 1 * C(4, 3)
+    ("Q8xA5", 12),  # 3 * 1 * C(4, 3)
+    ("A5xA5", 2),  # 1 * 1 * C(2, 1)
+    ("S5xZ7", 3),  # 1 * 1 * C(3, 2)
+    ("S4xE(5,2)", 270),  # 3 * 6 * C(6, 4)
+    ("A4xE(5,2)", 180),  # 3 * 6 * C(5, 3)
+    ("E(2,4)xA5", 1575),  # 315 * 1 * C(5, 4)
+    ("S3xD10", 8),  # controls: the rule gives 6, 12, 30, 630 and 180
+    ("A4xZ3", 18),
+    ("D10xQ8", 60),
+    ("S4xS4", 5346),
+    ("Q8xQ8", 1863),
+])
+def test_count_of_non_abelian_products(text, count):
+    assert count_series(realize_text(text)).value == count
 
 
 def test_count_leaves_no_reference_cycles():
