@@ -311,23 +311,28 @@ def _permutation_group(atom):
 
 
 def _factor_tables(atom):
-    """Tables whose direct product, in order, is the atom's table."""
+    """(table, generators) pairs whose direct product, in order, is the atom's table."""
     if isinstance(atom, Cyclic):
-        return [cyclic_mult(atom.n)]
+        return [(cyclic_mult(atom.n), [1] if atom.n > 1 else [])]
     if isinstance(atom, ElemAbelian):
-        return [cyclic_mult(atom.p)] * atom.k
+        return [(cyclic_mult(atom.p), [1])] * atom.k
     if isinstance(atom, Abelian):
-        return [cyclic_mult(p**e) for p, es in atom.parts for e in es]
-    return [_permutation_group(atom).mult]
+        return [(cyclic_mult(p**e), [1]) for p, es in atom.parts for e in es]
+    G = _permutation_group(atom)
+    return [(G.mult, G._gens)]
 
 
 def realize(spec):
-    """Deterministic GroupTable for a spec; lexicographic product ordering."""
+    """Deterministic GroupTable for a spec; lexicographic product ordering.
+
+    A product is validated over its factors' paired generators first.
+    """
     config.check_order(spec.order())
     if isinstance(spec, (Dihedral, QuaternionQ8, Symmetric, Alternating)):
         return _permutation_group(spec)  # validated as it was built
     factors = spec.factors if isinstance(spec, DirectProduct) else (spec,)
-    return direct_product([t for f in factors for t in _factor_tables(f)])
+    tables = [t for f in factors for t in _factor_tables(f)]
+    return direct_product([m for m, _ in tables], [g for _, g in tables])
 
 
 def realize_text(text):

@@ -3,7 +3,9 @@
 Elements are indices 0..N-1 with the identity fixed at index 0.  Subgroups are
 immutable member tuples backed by a bit mask.  Everything here is a pure
 function of its inputs.  A table's ``mult`` and ``inv`` are read-only, and
-``_gens``, the generators that its validation picked, is fixed with them;
+``_gens``, the generators that its validation picked (a product's paired
+factor generators first, then the least indices not yet reached), is fixed
+with them;
 what is derived from them is cached on the table when first asked for:
 ``_rows`` and ``_inv_list`` here, ``_normal_cache`` (the bit masks of the
 normal lattice) and ``_slices`` (the coordinate slices of an elementary
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
+from itertools import compress, count, zip_longest
 from operator import index, itemgetter
 
 from . import config
@@ -72,14 +74,17 @@ class GroupTable:
     using a, b, b, a good in turn.  So if every element is reached from 0
     by right products with a set of good elements, every element is good
     and the table is associative.  The set is picked greedily on the table
-    itself (``_light_generators``), so the test is sound whether or not the
-    table comes from a group, and it is kept as ``_gens``: the group's
-    generators.  Each element of the set costs two gathers of the table,
-    made one block of rows at a time into two buffers of about
+    itself (``_light_generators``): the first of ``candidates`` not yet
+    reached, else the least index not yet reached, until all are.  So the
+    test is sound whether or not the table comes from a group, and whatever
+    the candidates; ``direct_product`` passes the factors' paired generators,
+    so a product of two-generator groups often needs two.  The set is kept
+    as ``_gens``: the group's generators.  Each of them costs two gathers of
+    the table, made one block of rows at a time into two buffers of about
     ``_BLOCK_ENTRIES`` entries, so the check allocates nothing of size N x N.
     """
 
-    def __init__(self, mult):
+    def __init__(self, mult, candidates=()):
         import numpy as np
 
         mult = np.asarray(mult)
@@ -103,6 +108,9 @@ class GroupTable:
         self._normal_cache = None
         self._slices = None
         self._series_count = None
+        self._gens = [_index(a, "generator candidate") for a in candidates]  # tried first
+        if any(not 0 <= a < n for a in self._gens):
+            raise DomainError("generator candidate out of range")
         self._validate()  # sets inv and _gens
         self.inv.setflags(write=False)
 
@@ -120,7 +128,7 @@ class GroupTable:
         self.inv = inv.astype(mult.dtype)
         if mult[ar, self.inv].any():
             raise _law_failure(mult, "some element has no right inverse")
-        self._gens = _light_generators(mult)
+        self._gens = _light_generators(mult, self._gens)
         left = np.empty((step, n), dtype=mult.dtype)
         right = np.empty_like(left)
         for a in self._gens:
@@ -182,21 +190,26 @@ def _law_failure(mult, message):
     return DomainError(message)
 
 
-def _light_generators(mult):
+def _light_generators(mult, candidates=()):
     """Elements from which right products reach every index of ``mult`` from 0.
 
-    Each is the least index not yet reached by right products with the
-    earlier ones.  Only the table's own products are used, so no law is
-    assumed but the identity law, by which each chosen a is reached as 0*a.
-    In a group they generate the group.
+    Each is the first of ``candidates`` not yet reached by right products
+    with the earlier ones, else the least index not yet reached.  Only the
+    table's own products are used, so no law is assumed but the identity
+    law, by which each chosen a is reached as 0*a, and the walk itself
+    shows that every index is reached, whatever the candidates.  In a group
+    they generate the group.
     """
     n = mult.shape[0]
     reached = bytearray(n)
     reached[0] = 1
     order = [0]
     gens, cols = [], []
+    todo = iter(candidates)
     while len(order) < n:
-        a = reached.index(0)
+        a = next((c for c in todo if not reached[c]), None)
+        if a is None:
+            a = reached.index(0)
         gens.append(a)
         cols.append(mult[:, a].tolist())  # cols[j][x] is x * gens[j]
         for x in order:  # order grows while it is walked
@@ -293,6 +306,13 @@ def mask_of(members):
 
 
 _DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
+_VALUE_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def mask_of_flags(flags):
+    """Bit mask with bit x set where byte x of the 0/1 ``flags`` is 1: ``mask_of`` in C."""
+    # the reversed bytes, read as binary digits, put byte x at bit x
+    return int(flags[::-1].translate(_VALUE_DIGIT), 2)
 
 
 def members_of(mask):
@@ -425,13 +445,22 @@ def cyclic_mult(n):
     return (ar[:, None] - (n - ar)) % n
 
 
-def direct_product(mults):
+def direct_product(mults, gens):
     """GroupTable of the direct product of the tables ``mults``, in order.
 
     Tuples are numbered lexicographically: the pair (a, b) of two factors is
-    a * |second| + b.  No factors give the trivial group.
+    a * |second| + b.  No factors give the trivial group.  ``gens`` lists
+    each factor's generators; validation tries first the paired elements,
+    the j-th of which has each factor's j-th generator as its coordinate,
+    or the identity where a factor has fewer.
     """
-    return GroupTable(reduce(_product_mult, mults or [cyclic_mult(1)]))
+    candidates = []
+    for coords in zip_longest(*gens, fillvalue=0):
+        c = 0
+        for t, x in zip(mults, coords):
+            c = c * t.shape[0] + x
+        candidates.append(c)
+    return GroupTable(reduce(_product_mult, mults or [cyclic_mult(1)]), candidates)
 
 
 def _product_mult(t1, t2):

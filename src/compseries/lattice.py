@@ -47,6 +47,7 @@ from .group_core import (
     is_solvable_members,
     element_power,
     mask_of,
+    mask_of_flags,
     members_of,
     prime_exponents,
 )
@@ -134,34 +135,32 @@ def _join_closure(G, seeds):
     misses atom i, so J*g lies in K outside J, while every earlier seed in K
     lies in J; so J passes and K = <J, atom i> is built.  A non-trivial J
     holding g is skipped too, as J*g = J holds an earlier seed.  So the joins
-    that pass are picked from the masks alone before any is copied.  Joins
-    are keyed by their flag bytes, so a mask is built once per new subgroup;
-    config caps their number.
+    that pass are picked from the masks alone before any is copied.  Each
+    mask, an atom's or a join's, is read off its flag bytes in one C-level
+    conversion, and joins are keyed by their masks; config caps their number.
     """
     atoms = {}
     for seed in seeds:
-        atoms.setdefault(mask_of(_dimino_close(G, seed)[0]), []).extend(seed)
+        atoms.setdefault(mask_of_flags(_dimino_close(G, seed)[1]), []).extend(seed)
     rows, inv = G.rows(), G.inv_list()
     trivial = bytearray(G.order)
     trivial[0] = 1
-    # joins[i] = (members, flag bytes, generators) of the join of bit mask masks[i]
-    joins, masks, keys = [([0], bytes(trivial), [])], [1], {bytes(trivial)}
+    # bit mask -> (members, flag bytes, generators) of each join, in the order found
+    joins = {1: ([0], trivial, [])}
     taken = []
     for seed in atoms.values():
         g_inv = inv[seed[0]]
         behind = mask_of(rows[e][g_inv] for e in taken)
-        for i in [i for i, m in enumerate(masks) if not m & behind]:
-            members, key, gens = joins[i]
-            join, flags, jgens = list(members), bytearray(key), list(gens)
+        for m in [m for m in joins if not m & behind]:
+            members, flags, gens = joins[m]
+            join, flags, jgens = list(members), bytearray(flags), list(gens)
             extend_members(G, join, flags, jgens, seed)
-            key = bytes(flags)
-            if key not in keys:
-                keys.add(key)
-                joins.append((join, key, jgens))
-                masks.append(mask_of(join))
-                config.check_join_count(len(masks))
+            mask = mask_of_flags(flags)
+            if mask not in joins:
+                joins[mask] = (join, flags, jgens)
+                config.check_join_count(len(joins))
         taken += seed
-    return masks
+    return list(joins)
 
 
 def normal_subgroups(G):

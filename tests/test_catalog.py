@@ -240,6 +240,34 @@ def test_permutation_atom_tables_are_pinned():
         assert hashlib.md5(G.mult.tobytes()).hexdigest() == want, name
 
 
+# MD5 of mult.tobytes() and the number of generators validation picked, for
+# products of order up to 3,600, the tables as recorded when each product was
+# validated over the least unreached indices (4, 4, 4, 4, 7 and 4 of them)
+_PRODUCT_TABLE_PINS = {
+    "A5xS4": ("769c3d4b90a926d5840d2bb03c947783", 2),
+    "A5xA5": ("6ba569f6a13ba6a525a92993a5c1bee0", 3),
+    "S4xS4": ("825f6ae644ad6226bff20b7989bc9563", 3),
+    "Q8xQ8": ("8eea5004b3e8142f212fa4163fb5f70d", 4),
+    "E(2,5)xA5": ("5887b7f5a6dceb85c4568d414a0c068b", 6),
+    "S3xD10": ("9b66072c119cb9f01c0671246ba4382e", 3),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_PRODUCT_TABLE_PINS))
+def test_product_tables_are_pinned_whatever_generators_validate_them(text):
+    digest, n_gens = _PRODUCT_TABLE_PINS[text]
+    G = realize_text(text)
+    assert hashlib.md5(G.mult.tobytes()).hexdigest() == digest
+    assert len(G._gens) == n_gens
+
+
+def test_product_candidates_pair_each_factors_generators():
+    # S3 and D10 are each generated by their indices 1 and 2: the pairs are
+    # (1, 1) = 11 and (2, 2) = 22; Z2xZ3xZ4 gets (1, 1, 1) = 12 + 4 + 1 = 17
+    assert realize_text("S3xD10")._gens[:2] == [11, 22]
+    assert realize_text("Z2xZ3xZ4")._gens[0] == 17
+
+
 def test_roster_specs_and_names_realize_one_numbering():
     # tables are shared under their canonical name, whichever route realized them
     for name, spec in standard_roster(4096):

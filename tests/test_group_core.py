@@ -33,6 +33,7 @@ from compseries.group_core import (
     element_power,
     is_abelian_members,
     mask_of,
+    mask_of_flags,
     members_of,
 )
 from compseries.lattice import all_subgroups
@@ -151,6 +152,59 @@ def test_table_rejects_a_swapped_intercalate_in_any_row_block():
             GroupTable(mult)
 
 
+def _right_product_reach(mult, gens):
+    """How many indices right products with ``gens`` reach from 0 in ``mult``."""
+    reached, frontier = {0}, [0]
+    for x in frontier:  # frontier grows while it is walked
+        for a in gens:
+            y = int(mult[x, a])
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached)
+
+
+def test_product_validation_picks_the_paired_generators():
+    # A5 and S4 are each generated by their indices 1 and 2, so A5xS4 by the
+    # pairs (1, 1) = 25 and (2, 2) = 50
+    G = realize_text("A5xS4")
+    assert G._gens == [25, 50]
+    assert _right_product_reach(G.mult, G._gens) == 1440
+
+
+def test_product_validation_falls_back_when_the_pairs_generate_too_little(realized):
+    # in A5xA5 the pairs (1, 1) and (2, 2) generate the diagonal, of order 60;
+    # the least index they miss, 1 = (0, 1), completes a generating set
+    G = realized("A5xA5")
+    assert len(close_members(G, [61, 122])) == 60
+    assert G._gens == [61, 122, 1]
+    assert _right_product_reach(G.mult, [61, 122]) == 60
+    assert _right_product_reach(G.mult, G._gens) == 3600
+
+
+def test_product_table_with_a_swapped_intercalate_fails_with_the_paired_candidates():
+    # rows a, a*u and columns c, u*c of a group table, u an involution, hold an
+    # intercalate [[x, y], [y, x]]; swapped, the table stays Latin with
+    # identity 0 and right inverses, but is no group
+    G = realize_text("A5xS4")
+    assert G._gens == [25, 50]
+    rows = G.rows()
+    u = next(e for e in range(1, G.order) if rows[e][e] == 0)
+    a, c = 3, 5
+    au, uc = rows[a][u], rows[u][c]
+    x, y = rows[a][c], rows[a][uc]
+    assert 0 not in (au, uc, x, y) and rows[au][c] == y and rows[au][uc] == x
+    mult = G.mult.copy()
+    mult[[a, a, au, au], [c, uc, c, uc]] = [y, x, x, y]
+    with pytest.raises(DomainError, match="associativity"):
+        GroupTable(mult, G._gens)
+
+
+def test_table_rejects_an_out_of_range_generator_candidate():
+    with pytest.raises(DomainError, match="candidate out of range"):
+        GroupTable(group_core.cyclic_mult(4), [4])
+
+
 def test_table_validation_allocates_no_square_temporary():
     # the A5xS4 product array is 1440 x 1440 int16, 3.96 MiB; the Latin sorts
     # and the whole-table gathers of Light's test peaked at 5.95 MiB
@@ -180,8 +234,9 @@ def test_inverse_table():
 def test_is_abelian_is_whether_the_generators_commute(roster_tables, realized):
     tables = [G for _, _, G in roster_tables if G.order <= 128]
     tables += [realized("A5xS4"), realized("Z600xZ2")]
-    # generators (1, 2, 4, 8), of which only the last pair fails to commute
-    tables.append(realize_text("S3xZ2xZ2"))
+    # validated without candidates: generators (1, 2, 4, 8), of which only
+    # the last pair fails to commute
+    tables.append(GroupTable(realize_text("S3xZ2xZ2").mult))
     assert {G.is_abelian for G in tables} == {True, False}
     for G in tables:
         assert G.is_abelian == bool((G.mult == G.mult.T).all()), G
@@ -250,6 +305,18 @@ def test_members_of_inverts_mask_of():
             assert members_of(mask_of(mem)) == mem
             mask = rng.getrandbits(n)
             assert mask_of(members_of(mask)) == mask
+
+
+def test_mask_of_flags_matches_mask_of():
+    rng = random.Random(13)
+    for n in (1, 64, 1440, 3600):
+        for _ in range(10):
+            mem = rng.sample(range(n), rng.randint(1, n))
+            flags = bytearray(n)
+            for x in mem:
+                flags[x] = 1
+            assert mask_of_flags(flags) == mask_of_flags(bytes(flags)) == mask_of(mem)
+    assert mask_of_flags(bytearray(1)) == 0
 
 
 @pytest.mark.parametrize("text", ["D12xQ8", "A5xS4"])

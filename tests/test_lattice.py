@@ -101,6 +101,43 @@ def test_join_closure_extends_each_join_by_later_atoms_only(monkeypatch, text, j
     assert len(calls) == joins
 
 
+def _join_closure_by_member_masks(G, seeds):
+    """``lattice._join_closure`` with each mask an OR over the members and
+    each join keyed by its flag bytes: the reference for its masks' order."""
+    atoms = {}
+    for seed in seeds:
+        atoms.setdefault(mask_of(close_members(G, seed)), []).extend(seed)
+    rows, inv = G.rows(), G.inv_list()
+    trivial = bytearray(G.order)
+    trivial[0] = 1
+    joins, masks, keys = [([0], bytes(trivial), [])], [1], {bytes(trivial)}
+    taken = []
+    for seed in atoms.values():
+        behind = mask_of(rows[e][inv[seed[0]]] for e in taken)
+        for i in [i for i, m in enumerate(masks) if not m & behind]:
+            members, key, gens = joins[i]
+            join, flags, jgens = list(members), bytearray(key), list(gens)
+            group_core.extend_members(G, join, flags, jgens, seed)
+            if bytes(flags) not in keys:
+                keys.add(bytes(flags))
+                joins.append((join, bytes(flags), jgens))
+                masks.append(mask_of(join))
+        taken += seed
+    return masks
+
+
+@pytest.mark.parametrize("text, kind", [("S4", "all"), ("E(2,6)", "all"), ("A5xS4", "normal")])
+def test_join_closure_masks_are_the_members_masks_in_order(realized, text, kind):
+    G = realized(text)
+    if kind == "all":
+        seeds = [(g,) for g in range(1, G.order)]
+    else:
+        seeds = [c for c in group_core.conjugacy_classes(G) if c != (0,)]
+    got = lattice._join_closure(G, seeds)
+    assert got == _join_closure_by_member_masks(G, seeds)
+    assert len(got) == {"S4": 30, "E(2,6)": 2825, "A5xS4": 8}[text]
+
+
 # subspaces of F_2^k, k = 1..8: the sums of the Gaussian binomials [k j]_2
 SUBSPACE_COUNTS = [2, 5, 16, 67, 374, 2825, 29212, 417199]
 
