@@ -276,21 +276,27 @@ def _chain_lines(G, limit):
     """One JSON text line per composition series of G: its term orders and member lists.
 
     Each line equals ``json.dumps({"orders": ..., "subgroups": ...})`` plus a
-    newline.  It is a fold: each term's order and member texts, encoded once
-    per mask, are joined onto the texts of the terms above it on the walk.
+    newline.  It is a fold: each non-trivial term's order and member texts,
+    encoded once per mask, are joined onto the texts of the terms above it on
+    the walk.  At the trivial term the whole line is built by one f-string,
+    so each line's bytes are copied once, not once per join and once more
+    to wrap them; the trivial group's one line is fixed.
     """
     texts = {}
 
     def extend(term, above):
+        if term.mask == 1:
+            if above is None:  # G itself is trivial
+                return '{"orders": [1], "subgroups": [[0]]}\n'
+            return f'{{"orders": [1, {above[0]}], "subgroups": [[0], {above[1]}]}}\n'
         text = texts.get(term.mask)
         if text is None:
             text = texts[term.mask] = (str(term.order), json.dumps(term.members))
         if above is None:
             return text
-        return text[0] + ", " + above[0], text[1] + ", " + above[1]
+        return f"{text[0]}, {above[0]}", f"{text[1]}, {above[1]}"
 
-    folds = series.fold_series(G, extend, limit)
-    return ('{"orders": [%s], "subgroups": [%s]}\n' % pair for pair in folds)
+    return series.fold_series(G, extend, limit)
 
 
 def cmd_enumerate(args):

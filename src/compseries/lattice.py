@@ -168,7 +168,8 @@ def normal_subgroups(G):
     config.check_order(G.order)
     if G.is_abelian:  # then the normal lattice is the whole subgroup lattice
         config.check_subgroup_enum(G.order)
-    return _subgroup_set(G, normal_member_sets(G, (1 << G.order) - 1))
+    # classes are orbits, so G's own generators find them without closing G again
+    return _subgroup_set(G, normal_member_sets(G, (1 << G.order) - 1, G._gens))
 
 
 def is_simple(G):

@@ -7,7 +7,10 @@ normal subgroups of a mask come back as masks, each child is looked up in the
 memo before it is recursed into, and the lattice routine builds a member
 tuple only where its route needs one.  Enumeration folds each chain down one
 DFS of the same lattice, children in (order, members) order, so output order
-is reproducible; the walk finds the children of each subgroup once.
+is reproducible; the walk finds the children of each subgroup once.  Below a
+simple term the walk ends the series without descending: the trivial
+subgroup is maximal normal only in a simple group, where it is the one
+maximal normal subgroup.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ def _fold_walk(G, extend):
     path, under one over the full group, and ``values`` each term's value,
     under None.  ``interned`` maps each mask built to its one Subgroup, and
     ``children`` each term walked to its children, found once.
+
+    A term whose first child is the trivial subgroup is simple: the trivial
+    subgroup is maximal normal in it, so no normal subgroup lies between
+    them and the trivial subgroup is its only child.  So its series' value
+    is yielded at once, without a push or a pop; ``extend`` still sees the
+    same terms in the same order, and every non-trivial term's children are
+    found, as in a plain DFS.
     """
     interned, children = {}, {}
 
@@ -120,18 +130,22 @@ def _fold_walk(G, extend):
                 found.append(child)
             found.sort(key=lambda c: (c.order, c.members))
             children[term.mask] = found
-        return iter(found)
+        return found
 
     values = [None]
     stack = [iter([Subgroup.from_mask(G, (1 << G.order) - 1)])]
     while stack:
         for term in stack[-1]:
             value = extend(term, values[-1])
-            if term.mask == 1:
+            if term.mask == 1:  # G itself is trivial
                 yield value
+                continue
+            found = kids(term)
+            if found[0].mask == 1:  # a simple term: its one child ends the series
+                yield extend(found[0], value)
             else:
                 values.append(value)
-                stack.append(kids(term))
+                stack.append(iter(found))
                 break
         else:
             stack.pop()

@@ -26,19 +26,23 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def tables():
-    """Canonical name -> GroupTable, shared by the whole session."""
+    """Spec text -> GroupTable, shared by the whole session."""
     return {}
 
 
 @pytest.fixture(scope="session")
 def realized(tables):
-    """Memoized realize-by-text: realized('E(2,6)') -> shared GroupTable."""
+    """Memoized realize-by-text: realized('E(2,6)') -> shared GroupTable.
+
+    The table is keyed on the text it is given and numbered as that text is,
+    so realized('A5xS4') is A5xS4, not the S4xA5 of its canonical name.  A
+    roster name is canonical, and realizes the roster spec's numbering.
+    """
 
     def get(text):
-        key = catalog.print_spec(catalog.parse_spec(text))
-        if key not in tables:
-            tables[key] = catalog.realize_text(key)
-        return tables[key]
+        if text not in tables:
+            tables[text] = catalog.realize_text(text)
+        return tables[text]
 
     return get
 

@@ -299,6 +299,7 @@ def _dumps_chain(ch):
 def test_enumerate_lines_are_json_dumps_of_the_chains(capsys):
     # E(2,3): three chains under each order-4 term, so 5, 8 and 20 stop mid-branch
     texts = ["Z1", "Z7", "Z12", "Z360", "S4", "D8xZ3", "E(2,4)", "A5", "Q8xS4"]
+    texts += ["A5xS4", "E(2,2)xA5"]  # A5, simple of composite order, under other terms
     cases = [(text, None) for text in texts]
     cases += [("E(2,3)", limit) for limit in (1, 5, 8, 20)]
     for text, limit in cases:

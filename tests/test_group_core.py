@@ -152,6 +152,33 @@ def test_table_rejects_a_swapped_intercalate_in_any_row_block():
             GroupTable(mult)
 
 
+def test_table_rejects_a_swapped_intercalate_failing_only_in_last_rows_of_blocks():
+    # Z360xZ2, numbered 2i + b, is relabeled so that its rows 98-101 become
+    # 181, 363, 545 and 719, the last rows of Light's blocks of 182.  Light's
+    # generators are 1 = (0, 1) and 2 = (1, 0).  With the intercalate at rows
+    # (50, 0), (50, 1), now 545 and 719, and columns 22, 23 swapped, the
+    # generator 1 passes and the generator 2 fails at those two rows and at
+    # (49, 0), (49, 1), now 181 and 363: no row but the last of a block fails
+    n = 720
+    step = group_core._BLOCK_ENTRIES // n
+    last_rows = [181, 363, 545, 719]
+    assert step == 182 and last_rows == list(range(step - 1, n, step)) + [n - 1]
+    base = group_core._product_mult(group_core.cyclic_mult(360), group_core.cyclic_mult(2))
+    label = np.arange(n)
+    label[[98, 99, 100, 101] + last_rows] = last_rows + [98, 99, 100, 101]
+    mult = np.empty_like(base)
+    mult[np.ix_(label, label)] = label[base]
+    assert GroupTable(mult.copy())._gens == [1, 2]  # the table keeps its array
+    rows, cols = [545, 545, 719, 719], [22, 23, 22, 23]
+    mult[rows, cols] = mult[rows, cols][[1, 0, 3, 2]]
+    failing = set()
+    for a in (1, 2):  # (x*a)*y != x*(a*y) for some y
+        failing.update(np.flatnonzero((mult[mult[:, a]] != mult[:, mult[a]]).any(axis=1)))
+    assert failing == set(last_rows)
+    with pytest.raises(DomainError, match="associativity fails with middle factor 2"):
+        GroupTable(mult)
+
+
 def _right_product_reach(mult, gens):
     """How many indices right products with ``gens`` reach from 0 in ``mult``."""
     reached, frontier = {0}, [0]

@@ -162,17 +162,25 @@ def test_enumerate_length_equals_count():
         assert len(keys) == len(chains), text
 
 
+def _reference_children(G, mask):
+    """The maximal ones among the normal subgroups of ``mask``, in (order, members) order."""
+    children = _maximal_among(normal_member_sets(G, mask), mask.bit_count())
+    return sorted(children, key=lambda m: (m.bit_count(), members_of(m)))
+
+
 def _reference_chains(G, mask):
-    """Chains up to the bit mask ``mask`` by a DFS over the normal lattice,
-    children in (order, members) order."""
+    """Chains up to the bit mask ``mask`` by a DFS over the normal lattice."""
     if mask == 1:
         return [[mask]]
-    children = _maximal_among(normal_member_sets(G, mask), mask.bit_count())
-    children.sort(key=lambda m: (m.bit_count(), members_of(m)))
+    children = _reference_children(G, mask)
     return [c + [mask] for child in children for c in _reference_chains(G, child)]
 
 
-@pytest.mark.parametrize("text", ["Z1", "Z7", "A5", "S4", "D8xZ3", "E(2,3)", "Q8xS4"])
+# in A5xS4 and E(2,2)xA5 the lowest non-trivial term of a chain may be A5,
+# a simple term of composite order
+@pytest.mark.parametrize(
+    "text", ["Z1", "Z7", "A5", "S4", "D8xZ3", "E(2,3)", "Q8xS4", "A5xS4", "E(2,2)xA5"]
+)
 def test_enumerate_order_is_the_sorted_dfs(text):
     G = realize_text(text)
     got = [[t.mask for t in ch.terms] for ch in enumerate_series(G)]
@@ -204,6 +212,30 @@ def test_fold_by_prepending_gives_the_enumerated_terms(text):
     G = realize_text(text)
     want = [[t.mask for t in ch.terms] for ch in enumerate_series(G)]
     assert list(fold_series(G, _prepend_mask)) == want
+
+
+def _reference_extends(G, mask, above, calls):
+    """The (term, term above) pairs a recursive DFS passes to ``extend``, in order."""
+    calls.append((mask, above))
+    if mask != 1:
+        for child in _reference_children(G, mask):
+            _reference_extends(G, child, mask, calls)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["Z1", "Z7", "A5", "S4", "A5xS4", "E(2,2)xA5"])
+def test_fold_extends_every_term_in_the_order_of_a_recursive_dfs(text):
+    # the walk ends a series below a simple term without descending into it;
+    # extend still sees each term, and the term above it, in DFS order
+    G = realize_text(text)
+    calls = []
+
+    def extend(term, above):
+        calls.append((term.mask, above))
+        return term.mask
+
+    list(fold_series(G, extend))
+    assert calls == _reference_extends(G, (1 << G.order) - 1, None, [])
 
 
 @pytest.mark.parametrize("limit", [1, 5, 8, 20])
