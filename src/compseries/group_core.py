@@ -35,11 +35,6 @@ from operator import index, itemgetter
 from . import config
 from .errors import CapacityError, DomainError
 
-# Up to this order ``GroupTable.rows()`` holds python lists, the fastest to
-# index; above it, memoryviews of the numpy rows (python ints for a 3600x3600
-# table would cost hundreds of MB).
-_SMALL_N = 1024
-
 # Light's test gathers blocks of about this many table entries, whole rows,
 # into two preallocated buffers: 256 KB each in int16, at every order.
 _BLOCK_ENTRIES = 2**17
@@ -145,14 +140,10 @@ class GroupTable:
     def rows(self):
         """Table rows for scalar loops: ``rows()[a][b]`` is the index of a*b.
 
-        Python lists up to ``_SMALL_N``, zero-copy memoryviews of the numpy
-        rows above it.
+        Each row is a zero-copy memoryview of the numpy row.
         """
         if self._rows is None:
-            if self.order <= _SMALL_N:
-                self._rows = self.mult.tolist()
-            else:
-                self._rows = [memoryview(r) for r in self.mult]
+            self._rows = [memoryview(r) for r in self.mult]
         return self._rows
 
     def inv_list(self):
@@ -257,10 +248,7 @@ class Subgroup:
         if n % len(members) != 0:
             raise DomainError("subgroup order does not divide group order (Lagrange)")
         # S lies in <S>, so S is closed iff one Dimino pass over S builds |S| elements
-        closure, flags = [0], bytearray(n)
-        flags[0] = 1
-        extend_members(G, closure, flags, [], members)
-        if len(closure) != len(members):
+        if len(_dimino_close(G, members)[0]) != len(members):
             raise DomainError("subgroup not closed under multiplication")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "mask", mask)

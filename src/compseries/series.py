@@ -175,22 +175,24 @@ def composition_factor_orders(chain):
 def validate_chain(chain):
     """Re-check every CompositionChain invariant the hard way.
 
-    Each step must be contained in the next term, proper, normal in it, and
-    have a simple quotient (tested by realizing the quotient table and
-    enumerating its normal subgroups).  Raises DomainError on the first
+    Each step must be contained in the next term of the same group, proper,
+    normal in it, and have a simple quotient (tested by realizing the quotient
+    table and enumerating its normal subgroups).  Raises DomainError on the first
     violation.  The factor orders then multiply to |G|: the chain runs from
     the trivial subgroup to G, and each index is exact.
     """
     G = chain.parent
     terms = chain.terms
     for i, (a, b) in enumerate(zip(terms, terms[1:])):
+        if b.parent is not G:
+            raise DomainError(f"step {i}: next term belongs to another group")
         if a.mask & ~b.mask:
             raise DomainError(f"step {i}: term is not contained in the next")
         if a.order >= b.order:
             raise DomainError(f"step {i}: term is not proper in the next")
         if not group_core._members_normal_in(G, a.members, b.members):
             raise DomainError(f"step {i}: term is not normal in the next")
-        q = group_core.quotient(G, a, b)
+        q = group_core.coset_quotient(G, a.members, b.members)
         if not lattice.is_simple(q):
             raise DomainError(f"step {i}: quotient of order {q.order} is not simple")
     return True

@@ -307,8 +307,7 @@ def _pairwise_closure(G, seed):
         cur = new
 
 
-# S4 and D12xQ8 lie below group_core._SMALL_N (list rows), A5xS4 above it
-# (memoryview rows).
+# S4 and D12xQ8 are small tables, A5xS4 one of order 1440
 @pytest.mark.parametrize("text", ["S4", "D12xQ8", "A5xS4"])
 def test_close_members_matches_pairwise_closure(text, realized):
     G = realized(text)
@@ -355,8 +354,8 @@ def test_close_members_rejects_out_of_range_seed(text, realized):
 
 
 # ---------------------------------------------------------------------------
-# the generator-based primitives against O(m^2) definitions, on both kinds of
-# rows (list rows for S4 and D12xQ8, memoryview rows for A5xS4)
+# the generator-based primitives against O(m^2) definitions, on tables of
+# order 24 (S4), 96 (D12xQ8) and 1440 (A5xS4)
 
 
 def _ref_derived(G, mem):
@@ -539,7 +538,7 @@ def test_integer_like_members_and_seeds_are_accepted():
     assert close_members(G, np.array([3])) == (0, 3, 6, 9)
 
 
-# Z1030 lies above group_core._SMALL_N, so its rows are memoryviews
+# a small cyclic table and a mid-size one
 @pytest.mark.parametrize("text", ["Z12", "Z1030"])
 def test_subgroup_from_mask_raises_the_tuple_constructors_errors(text):
     G = realize_text(text)

@@ -396,7 +396,7 @@ def test_validate_chain_accepts_all_enumerated():
 def test_validate_chain_rejects_non_simple_quotient():
     G = realize_text("Z4")
     ch = CompositionChain((Subgroup(G, (0,)), Subgroup(G, (0, 1, 2, 3))))
-    with pytest.raises(DomainError, match="simple"):
+    with pytest.raises(DomainError, match="step 0: quotient of order 4 is not simple"):
         validate_chain(ch)
 
 
@@ -412,7 +412,15 @@ def test_validate_chain_rejects_non_normal_step():
             Subgroup(G, tuple(range(24))),
         )
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="step 1: term is not normal in the next"):
+        validate_chain(ch)
+
+
+def test_validate_chain_rejects_a_term_of_another_group():
+    # two realizations of Z4 have equal tables but are different groups
+    G, other = realize_text("Z4"), realize_text("Z4")
+    ch = CompositionChain((Subgroup(G, (0,)), Subgroup(other, (0, 2)), Subgroup(G, (0, 1, 2, 3))))
+    with pytest.raises(DomainError, match="step 0: next term belongs to another group"):
         validate_chain(ch)
 
 
