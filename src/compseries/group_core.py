@@ -343,23 +343,26 @@ def extend_members(G, members, flags, gens, seed):
     Each seed element g outside the current subgroup S is appended to ``gens``
     and the elements of <S, g> outside S to ``members``, marked in ``flags``
     (one byte per element of G); all three are updated in place.  They come
-    by whole right cosets S*t with t = r*h for a coset representative r and a
-    generator h: |<S, g>| products plus index * #gens lookups, not |<S, g>|^2
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+    by whole left cosets t*S, each gathered from row t of the table in one
+    C-level call: <S, g> is the union of the cosets found from S by left
+    products t = h*r of a generator h and a coset representative r, as
+    h*(r*S) = (h*r)*S.  That is |<S, g>| gathered entries plus index * #gens
+    lookups, not |<S, g>|^2 (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005).
     """
     rows = G.rows()
     for g in seed:
         if flags[g]:
             continue
         gens.append(g)
+        gen_rows = [rows[h] for h in gens]
+        take = itemgetter(*members, 0)  # the trailing 0 keeps a tuple when |S| = 1
         reps = [0]
-        sub_rows = [rows[s] for s in members]
         for r in reps:  # reps grows while it is walked
-            row = rows[r]
-            for h in gens:
-                t = row[h]
+            for row in gen_rows:
+                t = row[r]
                 if not flags[t]:
-                    coset = [sr[t] for sr in sub_rows]
+                    coset = take(rows[t])[:-1]
                     for e in coset:
                         flags[e] = 1
                     members += coset

@@ -19,20 +19,22 @@ there by (order, members).  Two algorithms live here:
   elementary abelian quotient H / (H' * H^p), whose cosets are read off the
   parent's own table (H' is trivial when H is abelian).  Non-solvable
   subgroups fall back to the class-join lattice, which is tiny for groups with
-  no abelian bulk.  One loop serves every prime: each coset of H' * H^p gets a
-  bit mask and a coordinate vector, and each hyperplane is the OR of the masks
-  of the cosets it contains.  When the parent is itself an elementary abelian
-  2-group F_2^n, its n coordinate slices are built once per table, and the odd
-  sets of the maps H -> Z_2 are the span under XOR of the slices cut down to
-  H's mask: each hyperplane is H's mask minus one non-zero member of that
-  span, found without H's members.
+  no abelian bulk.  One loop serves every prime: each coset of H' * H^p is
+  gathered from one table row in a C-level call and gets a bit mask and a
+  coordinate vector; the cosets' masks are ORed into one level mask per
+  (coordinate, value), and the hyperplanes are built from level masks alone,
+  a few mask operations per hyperplane.  When the parent is itself an
+  elementary abelian 2-group F_2^n, its n coordinate slices are built once
+  per table, and the odd sets of the maps H -> Z_2 are the span under XOR of
+  the slices cut down to H's mask: each hyperplane is H's mask minus one
+  non-zero member of that span, found without H's members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from operator import mul
+from functools import reduce
+from operator import and_, itemgetter, or_
 
 from . import config
 from .errors import DomainError
@@ -276,10 +278,10 @@ def _prime_index_masks(G, members, d):
     subgroups of index p are the kernels of the maps onto Z_p, i.e. the
     hyperplanes of the elementary abelian quotient H / K with K = d * H^p.
     For solvable H these are all the maximal normal subgroups.  One walk
-    over ``members``, which is ascending, labels each coset of K by its
-    least member and builds the coset's bit mask; the kernel of each map
-    phi, normalized so that its first non-zero coordinate is 1, is the OR
-    of the masks of the cosets that phi sends to 0.
+    over ``members``, which is ascending, labels each coset x*K by its
+    least member x, gathered from row x of the table in one C-level call,
+    and builds the coset's bit mask; ``_hyperplane_masks`` builds the
+    kernels from the cosets' coordinates and masks.
     """
     rows = G.rows()
     out = []
@@ -287,24 +289,52 @@ def _prime_index_masks(G, members, d):
         powers = {element_power(G, x, p) for x in members}
         # K = d when every p-th power is trivial, as in an elementary abelian H
         kernel = d if len(powers) == 1 else _dimino_close(G, (*d, *powers))[0]
+        take = itemgetter(*kernel, 0)  # the trailing 0 keeps a tuple when K is trivial
         coset_of = {}
         masks = {}  # least member -> bit mask of its coset
         for x in members:
             if x not in coset_of:
-                rx = rows[x]
-                coset = [rx[t] for t in kernel]
+                coset = take(rows[x])[:-1]
                 coset_of.update(dict.fromkeys(coset, x))
                 masks[x] = mask_of(coset)
         rank, coords = _elem_abelian_coords(G, list(masks), coset_of, p)
-        cosets = [(coords[x], m) for x, m in masks.items()]
-        for lead in range(rank):
-            for rest in iproduct(range(p), repeat=rank - lead - 1):
-                phi = (0,) * lead + (1,) + rest
-                msk = 0
-                for c, m in cosets:
-                    if not sum(map(mul, c, phi)) % p:
-                        msk |= m
-                out.append(msk)
+        out += _hyperplane_masks(p, rank, [(coords[x], m) for x, m in masks.items()])
+    return out
+
+
+def _hyperplane_masks(p, rank, cosets):
+    """Kernels of the (p^rank - 1)/(p - 1) maps onto Z_p, from level masks.
+
+    ``cosets`` holds the (coordinate tuple, bit mask) pair of each coset of
+    an elementary abelian quotient of rank ``rank``; a map is normalized so
+    that its first non-zero coordinate, the lead, is 1.  Level mask
+    ``level[j][v]`` is the OR of the masks of the cosets whose coordinate j
+    is v, and a map f on the coordinates after the lead is held as its p
+    level masks L, L[w] the OR of the masks of the cosets that f sends to w.
+    All indices mod p, the kernel of e_lead + f is the OR over v of
+    ``level[lead][v] & L[-v]``, and f + a*e_j has the level masks
+    L'[w] = OR over u of ``level[j][u] & L[w - a*u]``.  So with the lead
+    walked from the last coordinate down, each map costs p^2 mask
+    operations, not one length-rank product per coset.
+    """
+    level = [[0] * p for _ in range(rank)]
+    for c, m in cosets:
+        for lv, v in zip(level, c):
+            lv[v] |= m
+    out = []
+    # the maps on no coordinate: only the zero map, which sends all of H to 0
+    maps = [[reduce(or_, level[0])] + [0] * (p - 1)]
+    for j in reversed(range(rank)):
+        lv = level[j]
+        for L in maps:
+            # L[:1] + L[:0:-1] is L[-v] for v = 0..p-1
+            out.append(reduce(or_, map(and_, lv, L[:1] + L[:0:-1])))
+        if j:  # the maps with lead j - 1 read the maps on coordinates j and after
+            maps += [
+                [reduce(or_, [lv[u] & L[(w - a * u) % p] for u in range(p)]) for w in range(p)]
+                for a in range(1, p)
+                for L in maps
+            ]
     return out
 
 

@@ -36,7 +36,7 @@ class SeriesCount:
 
 @dataclass(frozen=True)
 class CompositionChain:
-    """Chain of subgroups from the trivial subgroup up to the full group."""
+    """Chain of subgroups of one group, from the trivial subgroup up to the full group."""
 
     terms: tuple
 
@@ -48,6 +48,9 @@ class CompositionChain:
         if not terms:
             raise DomainError("a chain has at least the trivial term")
         parent = terms[0].parent
+        for t in terms:  # a plain loop: a generator costs more than the test
+            if t.parent is not parent:
+                raise DomainError("every term of a chain must belong to the same group")
         if terms[0].order != 1 or terms[-1].order != parent.order:
             raise DomainError("chain must run from the trivial subgroup to the full group")
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from compseries import catalog
+from compseries import catalog, group_core
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -54,3 +54,12 @@ def roster_tables(realized):
     for name, spec in catalog.standard_roster(256):
         out.append((name, spec, realized(name)))
     return out
+
+
+@pytest.fixture(scope="session")
+def heisenberg3():
+    """The Heisenberg group mod 3 (order 27, exponent 3), acting on Z3^2."""
+    pt = [(a, b) for a in range(3) for b in range(3)]
+    x = [pt.index(((a + 1) % 3, b)) for a, b in pt]
+    y = [pt.index((a, (b + a) % 3)) for a, b in pt]
+    return group_core.build_from_generators(9, [x, y])

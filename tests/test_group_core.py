@@ -320,6 +320,49 @@ def test_close_members_matches_pairwise_closure(text, realized):
     assert close_members(G, []) == (0,)
 
 
+def _ref_extend(G, members, flags, gens, seed):
+    """``group_core.extend_members`` by whole right cosets S*t, t = r*h, each
+    read one member row at a time."""
+    rows = G.rows()
+    for g in seed:
+        if flags[g]:
+            continue
+        gens.append(g)
+        reps = [0]
+        sub_rows = [rows[s] for s in members]
+        for r in reps:
+            row = rows[r]
+            for h in gens:
+                t = row[h]
+                if not flags[t]:
+                    coset = [sr[t] for sr in sub_rows]
+                    for e in coset:
+                        flags[e] = 1
+                    members += coset
+                    reps.append(t)
+
+
+def test_extend_members_matches_right_coset_step(roster_tables, realized, heisenberg3):
+    """The left-coset step builds the members, flags and generators that the
+    right-coset step builds, from the trivial subgroup, on every roster table
+    of order <= 128, A5xS4 and the Heisenberg group mod 3."""
+    tables = [G for _, _, G in roster_tables if G.order <= 128]
+    tables += [realized("A5xS4"), heisenberg3]
+    rng = random.Random(27)
+    for G in tables:
+        seeds = [G._gens, rng.sample(range(G.order), G.order), [rng.randrange(G.order)]]
+        for seed in seeds:
+            got, ref = ([0], bytearray(G.order), []), ([0], bytearray(G.order), [])
+            got[1][0] = ref[1][0] = 1
+            group_core.extend_members(G, *got, seed)
+            _ref_extend(G, *ref, seed)
+            members, flags, gens = got
+            assert sorted(members) == sorted(ref[0]), (G, seed)
+            assert len(set(members)) == len(members), (G, seed)
+            assert flags == ref[1] and mask_of_flags(flags) == mask_of(members), (G, seed)
+            assert gens == ref[2], (G, seed)
+
+
 def test_members_of_inverts_mask_of():
     rng = random.Random(11)
     assert members_of(0) == () and mask_of(()) == 0

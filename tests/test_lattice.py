@@ -1,5 +1,9 @@
 """Subgroup lattice enumeration: all / normal / maximal(-normal) subgroups."""
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,6 @@ from compseries import (
     CapacityError,
     DomainError,
     all_subgroups,
-    build_from_generators,
     config,
     count_series,
     is_normal,
@@ -414,17 +417,68 @@ def test_prime_index_route_on_whole_products(text):
     _assert_route_matches_lattice(G, (1 << G.order) - 1, text)
 
 
-def test_prime_index_route_needs_the_derived_subgroup():
+def test_prime_index_route_needs_the_derived_subgroup(heisenberg3):
     """The Heisenberg group mod 3 has exponent 3, so H^3 is trivial and only
     H' * H^3 = H' gives the elementary abelian quotient Z3^2."""
-    pt = [(a, b) for a in range(3) for b in range(3)]
-    x = [pt.index(((a + 1) % 3, b)) for a, b in pt]
-    y = [pt.index((a, (b + a) % 3)) for a, b in pt]
-    G = build_from_generators(9, [x, y])
+    G = heisenberg3
     assert G.order == 27
     full = (1 << 27) - 1
     _assert_route_matches_lattice(G, full, "Heisenberg(3)")
     assert len(maximal_normal_member_sets(G, full)) == 4
+
+
+def _ref_prime_index_masks(G, members, d):
+    """``lattice._prime_index_masks`` with one dot product per (coset, map)
+    pair: each kernel is the OR of the masks of the cosets it sends to 0."""
+    rows = G.rows()
+    out = []
+    for p, _ in group_core.prime_exponents(len(members) // len(d)):
+        powers = {group_core.element_power(G, x, p) for x in members}
+        kernel = d if len(powers) == 1 else close_members(G, (*d, *powers))
+        coset_of = {}
+        masks = {}
+        for x in members:
+            if x not in coset_of:
+                coset = [rows[x][t] for t in kernel]
+                coset_of.update(dict.fromkeys(coset, x))
+                masks[x] = mask_of(coset)
+        rank, coords = lattice._elem_abelian_coords(G, list(masks), coset_of, p)
+        cosets = [(coords[x], m) for x, m in masks.items()]
+        for lead in range(rank):
+            for rest in itertools.product(range(p), repeat=rank - lead - 1):
+                phi = (0,) * lead + (1,) + rest
+                msk = 0
+                for c, m in cosets:
+                    if not sum(a * b for a, b in zip(c, phi)) % p:
+                        msk |= m
+                out.append(msk)
+    return out
+
+
+def _assert_hyperplanes_match_dot_products(G, H, label):
+    d = group_core.derived_members(G, H)
+    got = lattice._prime_index_masks(G, H, d)
+    assert set(got) == set(_ref_prime_index_masks(G, H, d)), label
+    # in a p-group the hyperplanes meet in K, and H / K has order p^r
+    [(p, _)] = group_core.prime_exponents(len(H))
+    k = functools.reduce(operator.and_, got).bit_count()
+    assert len(got) == len(set(got)) == (len(H) // k - 1) // (p - 1), label
+    assert all(m.bit_count() * p == len(H) for m in got), label
+
+
+@pytest.mark.parametrize("text", ["E(3,4)", "E(5,3)", "Z9xZ9", "Heisenberg(3)"])
+def test_hyperplane_walk_matches_dot_products_on_every_subgroup(realized, heisenberg3, text):
+    G = heisenberg3 if text == "Heisenberg(3)" else realized(text)
+    for H in all_subgroups(G):
+        if H.order > 1:
+            _assert_hyperplanes_match_dot_products(G, H.members, (text, H.members))
+
+
+@pytest.mark.parametrize("text, hyperplanes", [("E(3,5)", 121), ("E(7,3)", 57)])
+def test_hyperplane_walk_matches_dot_products_on_whole_groups(realized, text, hyperplanes):
+    G = realized(text)
+    _assert_hyperplanes_match_dot_products(G, tuple(range(G.order)), text)
+    assert len(lattice._prime_index_masks(G, tuple(range(G.order)), (0,))) == hyperplanes
 
 
 # ---------------------------------------------------------------------------

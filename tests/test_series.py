@@ -416,10 +416,20 @@ def test_validate_chain_rejects_non_normal_step():
         validate_chain(ch)
 
 
-def test_validate_chain_rejects_a_term_of_another_group():
+def test_chain_rejects_a_term_of_another_group():
     # two realizations of Z4 have equal tables but are different groups
     G, other = realize_text("Z4"), realize_text("Z4")
-    ch = CompositionChain((Subgroup(G, (0,)), Subgroup(other, (0, 2)), Subgroup(G, (0, 1, 2, 3))))
+    terms = (Subgroup(G, (0,)), Subgroup(other, (0, 2)), Subgroup(G, (0, 1, 2, 3)))
+    with pytest.raises(DomainError, match="every term of a chain must belong to the same group"):
+        CompositionChain(terms)
+
+
+def test_validate_chain_rejects_a_term_of_another_group():
+    # the constructor refuses this chain, so it is assembled past it
+    G, other = realize_text("Z4"), realize_text("Z4")
+    ch = object.__new__(CompositionChain)
+    terms = (Subgroup(G, (0,)), Subgroup(other, (0, 2)), Subgroup(G, (0, 1, 2, 3)))
+    object.__setattr__(ch, "terms", terms)
     with pytest.raises(DomainError, match="step 0: next term belongs to another group"):
         validate_chain(ch)
 
