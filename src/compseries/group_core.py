@@ -12,10 +12,14 @@ normal lattice) and ``_slices`` (the coordinate slices of an elementary
 abelian 2-group) by ``lattice``, and ``_series_count`` by ``series``.
 
 Element indices are checked where they enter the package: ``Subgroup``
-checks its members, ``close_members`` (and ``generated_subgroup`` through
-it) its seeds, each an integer in range.  The internal closure,
-``_dimino_close``, trusts its seeds, which come from a table or a checked
-subgroup, and so do the predicates on member tuples.
+checks its members (``Subgroup.from_mask`` its mask), ``close_members`` (and
+``generated_subgroup`` through it) its seeds, each an integer in range.  The
+internal closure, ``_dimino_close``, trusts its seeds, which come from a
+table or a checked subgroup, and so do the predicates on member tuples.
+
+The predicates on a subgroup H take a generating set of H from the caller:
+the generators of the one closure that found H, ``G._gens``, or H's members.
+None closes H to find them; ``derived_members`` returns H' with its own.
 
 This is the one module that imports numpy, and only inside the functions
 that build or validate a table (``GroupTable``, ``_law_failure``,
@@ -154,8 +158,7 @@ class GroupTable:
     @cached_property
     def is_abelian(self):
         """True iff the generators ``_gens`` commute, which makes the group abelian."""
-        m, gens = self.mult, self._gens
-        return all(m[a, b] == m[b, a] for i, a in enumerate(gens) for b in gens[:i])
+        return _commute(self.rows(), self._gens)
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
@@ -233,6 +236,9 @@ class Subgroup:
     @classmethod
     def from_mask(cls, parent, mask):
         """The subgroup of bit mask ``mask``, validated as ``Subgroup(parent, members)`` is."""
+        mask = _index(mask, "mask")
+        if mask < 0:
+            raise DomainError(f"mask {mask} is negative")
         sub = cls.__new__(cls)
         object.__setattr__(sub, "parent", parent)
         sub._adopt(mask)
@@ -472,22 +478,20 @@ def is_normal(G, H):
     """True iff g h g^-1 lies in H for all g in G, h in H: for g among ``G._gens``."""
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
-    return G.is_abelian or _members_normal_in(G, H.members, range(G.order), G._gens)
+    return G.is_abelian or _members_normal_in(G, H.members, G._gens)
 
 
-def _members_normal_in(G, inner, outer, outer_gens=None):
-    """Is the subgroup ``inner`` normal inside the subgroup ``outer`` (raw tuples)?
+def _members_normal_in(G, inner, outer):
+    """Is the subgroup ``inner``, a member tuple, normal in the subgroup ``outer`` generates?
 
-    Conjugating the generators of ``inner`` by those of ``outer`` suffices;
-    ``outer_gens``, when given, generate ``outer``, which is then not closed.
+    ``outer`` is any generating set, such as the members; conjugating the
+    generators of ``inner`` by it suffices, so ``outer`` is not closed.
     """
-    if len(inner) in (1, len(outer)):
+    if len(inner) in (1, G.order):
         return True
-    if outer_gens is None:
-        outer_gens = _dimino_close(G, outer)[2]
     _, flags, gens = _dimino_close(G, inner)
     rows, inv = G.rows(), G.inv_list()
-    for g in outer_gens:
+    for g in outer:
         rg, ig = rows[g], inv[g]
         for h in gens:
             if not flags[rows[rg[h]][ig]]:
@@ -497,18 +501,15 @@ def _members_normal_in(G, inner, outer, outer_gens=None):
 
 def conjugacy_classes(G):
     """Partition of 0..N-1 into conjugacy classes, ordered by smallest member."""
-    return classes_of_members(G, tuple(range(G.order)))
+    return classes_of_members(G, range(G.order), G._gens)
 
 
-def classes_of_members(G, members, gens=None):
-    """Conjugacy classes of the subgroup ``members`` under its own conjugation.
+def classes_of_members(G, members, gens):
+    """Conjugacy classes of the subgroup ``members``, generated by ``gens``.
 
-    Each class is the orbit of an element under conjugation by the
-    generators, ``gens`` when given, else found by closing ``members``;
+    Each class is the orbit of an element under conjugation by ``gens``;
     classes come in the order of their first element in ``members``.
     """
-    if gens is None:
-        gens = _dimino_close(G, members)[2]
     rows, inv = G.rows(), G.inv_list()
     conj = [(rows[g], inv[g]) for g in gens]
     seen = bytearray(G.order)
@@ -528,16 +529,15 @@ def classes_of_members(G, members, gens=None):
     return out
 
 
-def derived_members(G, members, gens=None):
-    """Commutator subgroup of the subgroup ``members``, as a member tuple.
+def derived_members(G, gens):
+    """Commutator subgroup H' of the subgroup H generated by ``gens``.
 
-    It is the normal closure in ``members`` of the commutators of its
-    generators, ``gens`` when given, else found by closing ``members``.
+    H' is the normal closure in H of the commutators of H's generators,
+    returned as (sorted members, the generators its Dimino steps picked);
+    with fewer than two generators H is cyclic, and H' is ((0,), []).
     """
-    if len(members) <= 2:
-        return (0,)
-    if gens is None:
-        gens = _dimino_close(G, members)[2]
+    if len(gens) < 2:
+        return (0,), []
     rows, inv = G.rows(), G.inv_list()
     comms = [
         rows[rows[rows[a][b]][inv[a]]][inv[b]]
@@ -547,37 +547,34 @@ def derived_members(G, members, gens=None):
     sub, flags, sub_gens = _dimino_close(G, comms)
     for k in sub_gens:  # sub_gens grows while it is walked
         extend_members(G, sub, flags, sub_gens, [rows[rows[g][k]][inv[g]] for g in gens])
-    return tuple(sorted(sub))
+    return tuple(sorted(sub)), sub_gens
 
 
-def is_abelian_members(G, members, gens=None):
-    """True iff the subgroup ``members`` is abelian: its generators commute.
+def is_abelian_members(G, gens):
+    """True iff the subgroup generated by ``gens`` is abelian: its generators commute.
 
-    The generators are ``gens`` when given, else found by closing
-    ``members``; neither is read when G itself is abelian.
+    An abelian G answers at once, without reading ``gens``.
     """
-    if G.is_abelian:
-        return True
-    if gens is None:
-        gens = _dimino_close(G, members)[2]
-    rows = G.rows()
+    return G.is_abelian or _commute(G.rows(), gens)
+
+
+def _commute(rows, gens):
+    """True iff the elements ``gens`` commute pairwise; ``rows`` is a table's ``rows()``."""
     return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
 
-def is_solvable_members(G, members, gens=None):
+def is_solvable_members(G, members, gens):
     """True iff the derived series of the subgroup ``members`` reaches 1.
 
-    ``gens``, when given, generate ``members`` and start the series.
+    ``gens`` generate ``members``; each term of the series comes with its
+    generators from ``derived_members``, which start the next step.
     """
-    cur = members
-    while True:
-        nxt = derived_members(G, cur, gens)
-        gens = None
-        if len(nxt) == 1:
-            return True
-        if len(nxt) == len(cur):
+    while len(members) > 1:
+        d, gens = derived_members(G, gens)
+        if len(d) == len(members):
             return False
-        cur = nxt
+        members = d
+    return True
 
 
 # ---------------------------------------------------------------------------

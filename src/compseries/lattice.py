@@ -17,17 +17,18 @@ there by (order, members).  Two algorithms live here:
   For a solvable subgroup H every maximal normal subgroup has prime index, so
   they are exactly the kernels of maps onto Z_p: the hyperplanes of the
   elementary abelian quotient H / (H' * H^p), whose cosets are read off the
-  parent's own table (H' is trivial when H is abelian).  Non-solvable
-  subgroups fall back to the class-join lattice, which is tiny for groups with
-  no abelian bulk.  One loop serves every prime: each coset of H' * H^p is
-  gathered from one table row in a C-level call and gets a bit mask and a
-  coordinate vector; the cosets' masks are ORed into one level mask per
-  (coordinate, value), and the hyperplanes are built from level masks alone,
-  a few mask operations per hyperplane.  When the parent is itself an
-  elementary abelian 2-group F_2^n, its n coordinate slices are built once
-  per table, and the odd sets of the maps H -> Z_2 are the span under XOR of
-  the slices cut down to H's mask: each hyperplane is H's mask minus one
-  non-zero member of that span, found without H's members.
+  parent's own table (H' is trivial when H is abelian).  H is closed once,
+  for generators; H' comes back with its own, which carry the derived series.
+  Non-solvable subgroups fall back to the class-join lattice, which is tiny
+  for groups with no abelian bulk.  One loop serves every prime: each coset
+  of H' * H^p is gathered from one table row in a C-level call and gets a
+  bit mask and a coordinate vector; the cosets' masks are ORed into one
+  level mask per (coordinate, value), and the hyperplanes are built from
+  level masks alone, a few mask operations per hyperplane.  When the parent
+  is itself an elementary abelian 2-group F_2^n, its n coordinate slices are
+  built once per table, and the odd sets of the maps H -> Z_2 are the span
+  under XOR of the slices cut down to H's mask: each hyperplane is H's mask
+  minus one non-zero member of that span, found without H's members.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ def all_subgroups(G):
     return _subgroup_set(G, _join_closure(G, [(g,) for g in range(1, G.order)]))
 
 
-def normal_member_sets(G, mask, gens=None):
+def normal_member_sets(G, mask, gens):
     """Bit masks of all normal subgroups of the subgroup H of bit mask ``mask``.
 
     They are the joins of the normal closures of H's conjugacy classes,
-    found by conjugating with H's generators ``gens`` when given.  The
-    lattice of the whole group is kept in ``G._normal_cache``.
+    found by conjugating with ``gens``, which generate H.  The lattice of
+    the whole group is kept in ``G._normal_cache``.
     """
     whole = mask == (1 << G.order) - 1
     if whole and G._normal_cache is not None:
@@ -170,7 +171,6 @@ def normal_subgroups(G):
     config.check_order(G.order)
     if G.is_abelian:  # then the normal lattice is the whole subgroup lattice
         config.check_subgroup_enum(G.order)
-    # classes are orbits, so G's own generators find them without closing G again
     return _subgroup_set(G, normal_member_sets(G, (1 << G.order) - 1, G._gens))
 
 
@@ -226,12 +226,12 @@ def maximal_normal_member_sets(G, mask):
     slices cut down to H.
     """
     slices = _coordinate_slices(G)
-    # an abelian G answers is_abelian_members without reading the members or
-    # the generators; otherwise H is closed once, here, for the generators
-    # that is_abelian_members, derived_members and normal_member_sets read
     members = None if slices else members_of(mask)
-    gens = None if G.is_abelian else _dimino_close(G, members)[2]
-    if is_abelian_members(G, members, gens):
+    # H is closed once, here, for the generators that is_abelian_members,
+    # derived_members and normal_member_sets read; in an abelian G no
+    # generators are needed, and the empty set commutes
+    gens = [] if G.is_abelian else _dimino_close(G, members)[2]
+    if is_abelian_members(G, gens):
         if slices:
             # H is a subspace of F_2^n, so each map H -> Z_2 is a coordinate map
             # cut down to H; odd sets add by XOR and differ for distinct maps,
@@ -246,9 +246,9 @@ def maximal_normal_member_sets(G, mask):
                         break
             return hyperplanes[1:]
         return _prime_index_masks(G, members, (0,))
-    d = derived_members(G, members, gens)
-    # H is solvable iff H' is; a perfect H is its own H', generated by gens
-    if is_solvable_members(G, d, gens if len(d) == len(members) else None):
+    d, d_gens = derived_members(G, gens)
+    # H is solvable iff H' is
+    if is_solvable_members(G, d, d_gens):
         return _prime_index_masks(G, members, d)
     return _maximal_among(normal_member_sets(G, mask, gens), len(members))
 

@@ -463,18 +463,19 @@ def test_primitives_match_quadratic_definitions(text, realized):
     G = realized(text)
     subs = _sample_subgroups(G)
     for H in subs:
-        assert derived_members(G, H) == _ref_derived(G, H), H
-        assert classes_of_members(G, H) == _ref_classes(G, H), H
-        assert is_abelian_members(G, H) == _ref_is_abelian(G, H), H
+        gens = _dimino_close(G, H)[2]
+        assert derived_members(G, gens)[0] == _ref_derived(G, H), H
+        assert classes_of_members(G, H, gens) == _ref_classes(G, H), H
+        assert is_abelian_members(G, gens) == _ref_is_abelian(G, H), H
     rng = random.Random(1)
     outers = rng.sample(subs, min(len(subs), 12)) + [subs[-1]]
     for outer in outers:
-        outer_set = set(outer)
+        outer_set, outer_gens = set(outer), _dimino_close(G, outer)[2]
         for inner in subs:
             if not outer_set.issuperset(inner):
                 continue
             normal = _ref_normal_in(G, inner, outer)
-            assert _members_normal_in(G, inner, outer) == normal, (inner, outer)
+            assert _members_normal_in(G, inner, outer_gens) == normal, (inner, outer)
             if len(outer) == G.order:
                 assert is_normal(G, Subgroup(G, inner)) == normal, inner
             if normal:
@@ -484,7 +485,8 @@ def test_primitives_match_quadratic_definitions(text, realized):
 
 def test_primitives_given_generators_match_quadratic_definitions(roster_tables):
     """On every non-abelian subgroup H of the roster groups of order <= 128,
-    passing a generating set of H gives what closing H's members gives."""
+    any generating set of H gives the quadratic definitions' answers, and
+    H' comes back with generators of H'."""
     rng = random.Random(128)
     checked = 0
     for _, _, G in roster_tables:
@@ -496,9 +498,11 @@ def test_primitives_given_generators_match_quadratic_definitions(roster_tables):
                 continue
             # the greedy generators of H's members taken in a shuffled order
             gens = _dimino_close(G, rng.sample(H, len(H)))[2]
-            assert derived_members(G, H, gens) == derived_members(G, H) == _ref_derived(G, H)
-            assert classes_of_members(G, H, gens) == classes_of_members(G, H) == _ref_classes(G, H)
-            assert is_abelian_members(G, H, gens) is is_abelian_members(G, H) is False
+            derived, derived_gens = derived_members(G, gens)
+            assert derived == _ref_derived(G, H)
+            assert close_members(G, derived_gens) == derived
+            assert classes_of_members(G, H, gens) == _ref_classes(G, H)
+            assert is_abelian_members(G, gens) is False
             checked += 1
     assert checked == 548  # in 29 non-abelian groups
 
@@ -600,6 +604,19 @@ def test_subgroup_from_mask_raises_the_tuple_constructors_errors(text):
             Subgroup.from_mask(G, mask_of(members))
         assert str(by_mask.value) == str(by_tuple.value), members
     assert Subgroup.from_mask(G, mask_of((0, n // 2))).members == (0, n // 2)
+
+
+def test_subgroup_from_mask_refuses_a_negative_bool_or_float_mask():
+    G = realize_text("Z2")
+    # -1 has every bit set in two's complement; its binary digits read (0, 1)
+    with pytest.raises(DomainError, match="^mask -1 is negative$"):
+        Subgroup.from_mask(G, -1)
+    # True is 1, the trivial subgroup's mask, and 1.0 has no bit_length
+    for bad in (True, 1.0):
+        with pytest.raises(DomainError, match="is not an integer index"):
+            Subgroup.from_mask(G, bad)
+    H = Subgroup.from_mask(G, np.int64(3))
+    assert H.members == (0, 1) and H.mask == 3 and not H.contains(5)
 
 
 # ---------------------------------------------------------------------------

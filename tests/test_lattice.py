@@ -21,7 +21,13 @@ from compseries import (
 )
 from compseries import group_core
 from compseries.catalog import realize, realize_text, standard_roster
-from compseries.group_core import _members_normal_in, close_members, mask_of
+from compseries.group_core import (
+    _dimino_close,
+    _members_normal_in,
+    close_members,
+    mask_of,
+    members_of,
+)
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -161,7 +167,7 @@ def test_subspace_count_refuses_an_elementary_abelian_lattice_before_any_join(
         raise AssertionError("a join closure ran")
 
     monkeypatch.setattr(lattice, "_join_closure", no_join)
-    for build in (all_subgroups, lambda G: normal_member_sets(G, whole)):
+    for build in (all_subgroups, lambda G: normal_member_sets(G, whole, G._gens)):
         with pytest.raises(CapacityError, match=f"^{count} subgroups exceed"):
             build(G)
     if k >= 3:
@@ -169,7 +175,7 @@ def test_subspace_count_refuses_an_elementary_abelian_lattice_before_any_join(
         plane = mask_of(close_members(G, [1, 2]))
         monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 4)
         with pytest.raises(CapacityError, match="^5 subgroups exceed"):
-            normal_member_sets(G, plane)
+            normal_member_sets(G, plane, [1, 2])
 
 
 @pytest.mark.parametrize("text", ["S4", "D8xZ3", "A4xZ2", "S3xS3", "Q8xS4", "A5"])
@@ -179,11 +185,12 @@ def test_normal_member_sets_of_every_subgroup_filter_its_lattice(text):
     G = realize_text(text)
     subs = all_subgroups(G)
     for H in subs:
+        gens = _dimino_close(G, H.members)[2]
         want = [
             K.mask for K in subs
-            if K.mask | H.mask == H.mask and _members_normal_in(G, K.members, H.members)
+            if K.mask | H.mask == H.mask and _members_normal_in(G, K.members, gens)
         ]
-        assert sorted(normal_member_sets(G, H.mask)) == sorted(want), H.members
+        assert sorted(normal_member_sets(G, H.mask, gens)) == sorted(want), H.members
 
 
 def test_all_subgroups_cap():
@@ -238,7 +245,7 @@ def test_maximal_normals_reuse_the_normal_lattice(monkeypatch):
     full_lattices = []
     real = lattice.classes_of_members
 
-    def counting(H, members, gens=None):  # the first step of building a normal lattice
+    def counting(H, members, gens):  # the first step of building a normal lattice
         if len(members) == H.order:
             full_lattices.append(H)
         return real(H, members, gens)
@@ -280,6 +287,26 @@ def test_maximal_normals_close_each_subgroup_once(monkeypatch):
     assert closures == [1] * 13
 
 
+@pytest.mark.parametrize("text, count, closures", [("S4", 3, 13), ("S4xS4", 5346, 258)])
+def test_count_series_closure_calls_are_pinned(monkeypatch, text, count, closures):
+    """Dimino closures in one series count on a fresh table.  Each predicate
+    reads the generators it is passed and H' comes back with its own, so no
+    member tuple is closed again for its generators (the counts were 16 and
+    323 when the predicates closed their members themselves)."""
+    G = realize_text(text)
+    real_close = group_core._dimino_close
+    calls = []
+
+    def counting_close(H, seed):
+        calls.append(H)
+        return real_close(H, seed)
+
+    monkeypatch.setattr(group_core, "_dimino_close", counting_close)
+    monkeypatch.setattr(lattice, "_dimino_close", counting_close)
+    assert count_series(G).value == count
+    assert len(calls) == closures
+
+
 def test_z12_maximal_normals():
     subs = maximal_normal_subgroups(realize_text("Z12"))
     assert subs.orders() == [4, 6]
@@ -316,7 +343,7 @@ def test_fast_maximal_path_matches_lattice_filter():
         G = realize_text(text)
         full = (1 << G.order) - 1
         fast = set(maximal_normal_member_sets(G, full))
-        slow = set(_maximal_among(normal_member_sets(G, full), G.order))
+        slow = set(_maximal_among(normal_member_sets(G, full, G._gens), G.order))
         assert fast == slow, text
 
 
@@ -327,7 +354,8 @@ def test_maximal_member_sets_of_proper_subgroups():
         if H.order == 1:
             continue
         fast = set(maximal_normal_member_sets(G, H.mask))
-        slow = set(_maximal_among(normal_member_sets(G, H.mask), H.order))
+        gens = _dimino_close(G, H.members)[2]
+        slow = set(_maximal_among(normal_member_sets(G, H.mask, gens), H.order))
         assert fast == slow, H.members
 
 
@@ -335,7 +363,8 @@ def _assert_route_matches_lattice(G, mask, label):
     """maximal_normal_member_sets vs the maximal proper normal subgroups."""
     masks = maximal_normal_member_sets(G, mask)
     assert len(set(masks)) == len(masks), label
-    assert set(masks) == set(_maximal_among(normal_member_sets(G, mask), mask.bit_count())), label
+    normals = normal_member_sets(G, mask, _dimino_close(G, members_of(mask))[2])
+    assert set(masks) == set(_maximal_among(normals, mask.bit_count())), label
 
 
 def test_prime_index_route_on_every_subgroup_of_non_abelian_roster(roster_tables):
@@ -456,7 +485,7 @@ def _ref_prime_index_masks(G, members, d):
 
 
 def _assert_hyperplanes_match_dot_products(G, H, label):
-    d = group_core.derived_members(G, H)
+    d = group_core.derived_members(G, _dimino_close(G, H)[2])[0]
     got = lattice._prime_index_masks(G, H, d)
     assert set(got) == set(_ref_prime_index_masks(G, H, d)), label
     # in a p-group the hyperplanes meet in K, and H / K has order p^r
