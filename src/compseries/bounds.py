@@ -18,10 +18,12 @@ from math import factorial, isqrt, prod
 from . import config
 from .errors import CapacityError, DomainError
 from .formulas import gaussian_hyperplanes, is_prime
+from .group_core import _index
 
 
 def ilog(base, n):
     """Largest e with base**e <= n, by exact repeated multiplication."""
+    base, n = _index(base, "base"), _index(n, "n")
     if base < 2 or n < 1:
         raise DomainError("ilog needs base >= 2 and n >= 1")
     e = 0
@@ -37,6 +39,7 @@ def bound(n):
 
     Raises CapacityError when floor(log2 n) exceeds ``config.BOUND_LOG2_CAP``.
     """
+    n = _index(n, "n")
     if n < 4:
         raise DomainError("the bound is only stated for n >= 4")
     return prod(2**i - 1 for i in range(1, capped_log2(n) + 1))
@@ -68,6 +71,8 @@ class InequalityParams:
     s: int
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha_r", "p", "s"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise DomainError("p must be an odd prime")
         if self.alpha1 < 0 or self.alpha_r < 1:
@@ -98,6 +103,7 @@ class InequalityParams:
 
 def check_inequality_1(n, p):
     """2^floor(log2 n) - 1 > (p^floor(log_p n) - 1)/(p - 1) for odd prime p."""
+    n, p = _index(n, "n"), _index(p, "p")
     if n < 4:
         raise DomainError("inequality (1) is stated for n >= 4")
     if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -155,6 +161,7 @@ def factorial_ratio(alpha1, alpha_r, a, b):
 
 def check_induction_base(p, alpha_r):
     """p^alpha_r > 2 alpha_r + 2 on the lemma's admissible domain."""
+    p, alpha_r = _index(p, "p"), _index(alpha_r, "alpha_r")
     if not is_prime(p) or p < 3:
         raise DomainError("p must be an odd prime")
     if alpha_r < 1 or (p == 3 and alpha_r < 2):
@@ -164,6 +171,7 @@ def check_induction_base(p, alpha_r):
 
 def check_step4(alpha1):
     """2^(alpha1+1) > alpha1 + 2 for alpha1 >= 1."""
+    alpha1 = _index(alpha1, "alpha1")
     if alpha1 < 1:
         raise DomainError("alpha1 must be >= 1")
     return 2 ** (alpha1 + 1) > alpha1 + 2
@@ -277,6 +285,7 @@ def sweep_theorem_43(n, per_order=False):
     not dividing q whose product stays <= n/q, sees every candidate; the
     orders behind a candidate are listed only when it reaches a bound.
     """
+    n = _index(n, "n")
     if n < 4:
         raise DomainError("sweep needs n >= 4")
     if n > config.DEFAULT_SWEEP_CAP:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import DomainError
-from .group_core import prime_exponents
+from .group_core import _index, prime_exponents
 
 
 def is_prime(n):
@@ -23,7 +23,7 @@ class Factorization:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(p), int(a)) for p, a in self.pairs)
+        pairs = tuple((_index(p, "prime"), _index(a, "exponent")) for p, a in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         prev = 1
         for p, a in pairs:
@@ -47,9 +47,15 @@ class Factorization:
 
 def factorize(n):
     """Trial-division factorization; n = 1 gives the empty factorization."""
+    n = _index(n, "n")
     if n < 1:
         raise DomainError("can only factorize positive integers")
     return Factorization(tuple(prime_exponents(n)))
+
+
+def _factored(n):
+    """``n`` itself when it is a Factorization, else ``factorize(n)``."""
+    return n if isinstance(n, Factorization) else factorize(n)
 
 
 def exact_div(a, b):
@@ -61,7 +67,7 @@ def exact_div(a, b):
 
 def multinomial(exponents):
     """(sum a_i)! / prod a_i!, exactly."""
-    exponents = [int(a) for a in exponents]
+    exponents = [_index(a, "exponent") for a in exponents]
     if any(a < 0 for a in exponents):
         raise DomainError("exponents must be nonnegative")
     num = factorial(sum(exponents))
@@ -71,9 +77,7 @@ def multinomial(exponents):
 
 def count_cyclic(n):
     """Composition-series count of the cyclic group of order n (multinomial)."""
-    if isinstance(n, int):
-        n = factorize(n)
-    return multinomial(n.exponents())
+    return multinomial(_factored(n).exponents())
 
 
 def gaussian_hyperplanes(p, k):
@@ -83,6 +87,7 @@ def gaussian_hyperplanes(p, k):
 
 def count_elem_abelian(p, k):
     """Series count of the elementary abelian group of order p^k."""
+    p, k = _index(p, "p"), _index(k, "k")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if k < 0:
@@ -92,9 +97,8 @@ def count_elem_abelian(p, k):
 
 def count_abelian(n, sylow_counts):
     """Series count of an abelian group from its Sylow subgroup counts t_i."""
-    if isinstance(n, int):
-        n = factorize(n)
-    t = [int(x) for x in sylow_counts]
+    n = _factored(n)
+    t = [_index(x, "Sylow count") for x in sylow_counts]
     if len(t) != len(n.pairs):
         raise DomainError(
             f"need {len(n.pairs)} Sylow counts (one per prime), got {len(t)}"
@@ -106,14 +110,12 @@ def count_abelian(n, sylow_counts):
 
 def count_abelian_elem_sylow(n):
     """Series count of the abelian group with elementary abelian Sylow subgroups."""
-    if isinstance(n, int):
-        n = factorize(n)
+    n = _factored(n)
     t = [count_elem_abelian(p, a) for p, a in n.pairs]
     return count_abelian(n, t) if t else 1
 
 
 def maximal_subgroup_count_formula(n):
     """sum_i (p_i^a_i - 1)/(p_i - 1) for the elementary-Sylow abelian group."""
-    if isinstance(n, int):
-        n = factorize(n)
+    n = _factored(n)
     return sum(gaussian_hyperplanes(p, a) for p, a in n.pairs)

@@ -11,11 +11,18 @@ what is derived from them is cached on the table when first asked for:
 normal lattice) and ``_slices`` (the coordinate slices of an elementary
 abelian 2-group) by ``lattice``, and ``_series_count`` by ``series``.
 
-Element indices are checked where they enter the package: ``Subgroup``
-checks its members (``Subgroup.from_mask`` its mask), ``close_members`` (and
-``generated_subgroup`` through it) its seeds, each an integer in range.  The
-internal closure, ``_dimino_close``, trusts its seeds, which come from a
-table or a checked subgroup, and so do the predicates on member tuples.
+Every integer that enters the package is read by one check, ``_index``,
+which refuses a bool and anything without ``__index__``, such as a float or
+a string, with a DomainError.  It reads ``Subgroup``'s members and
+``Subgroup.from_mask``'s mask, the seeds of ``close_members`` (and of
+``generated_subgroup`` through it), ``GroupTable``'s generator candidates,
+``build_from_generators``' point count and generator entries, the limit of
+``series.fold_series`` (and of ``enumerate_series`` through it), and the
+arguments of the closed forms in ``formulas`` and of the bound, its
+inequality checks and the sweep in ``bounds``.  Element indices are then
+checked to be in range.  The internal closure, ``_dimino_close``, trusts
+its seeds, which come from a table or a checked subgroup, and so do the
+predicates on member tuples.
 
 The predicates on a subgroup H take a generating set of H from the caller:
 the generators of the one closure that found H, ``G._gens``, or H's members.
@@ -31,7 +38,7 @@ for numpy only when it realizes a group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, count, zip_longest
 from operator import index, itemgetter
@@ -215,17 +222,19 @@ def _light_generators(mult, candidates=()):
     return gens
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subgroup:
     """A subgroup of ``parent`` stored as a sorted member tuple and its bit mask.
 
     Construction verifies, on the mask, the range of every member, the
     identity bit, Lagrange's theorem and closure under multiplication
-    (inverse closure follows in a finite group).
+    (inverse closure follows in a finite group).  Two subgroups are equal,
+    and hash equal, when they have the same parent table and the same mask.
     """
 
     parent: GroupTable
-    members: tuple
+    members: tuple = field(compare=False)
+    mask: int = field(init=False)
 
     def __post_init__(self):
         members = [_index(x, "member") for x in self.members]
@@ -265,16 +274,6 @@ class Subgroup:
 
     def contains(self, x):
         return (self.mask >> x) & 1 == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.order})"
@@ -392,11 +391,12 @@ def build_from_generators(n_points, generators):
     identity was found as parent*g_j, so column b of the table is
     ``right[j]`` taken at column parent, one gather per column.
     """
+    n_points = _index(n_points, "n_points")
     if n_points < 1:
         raise DomainError("n_points must be positive")
     gens = []
     for g in generators:
-        g = tuple(int(x) for x in g)
+        g = tuple(_index(x, "generator entry") for x in g)
         # the length first: the cost stays bounded by the size of the input
         if len(g) != n_points or sorted(g) != list(range(n_points)):
             raise DomainError(f"generator {g} is not a permutation of 0..{n_points - 1}")
@@ -581,25 +581,36 @@ def is_solvable_members(G, members, gens):
 # quotients
 
 
+def left_cosets(G, kernel, members):
+    """The left cosets x*K of K = ``kernel`` in H = ``members``, as (coset_of, cosets).
+
+    ``members`` is ascending, so ``cosets`` maps the least member x of each
+    coset, ascending, to the coset, gathered from row x of the table in one
+    C-level call; ``coset_of`` maps each element of a coset to its x.
+    """
+    rows = G.rows()
+    take = itemgetter(*kernel, 0)  # the trailing 0 keeps a tuple when K is trivial
+    coset_of, cosets = {}, {}
+    for x in members:
+        if x not in coset_of:
+            coset = cosets[x] = take(rows[x])[:-1]
+            coset_of.update(dict.fromkeys(coset, x))
+    return coset_of, cosets
+
+
 def coset_quotient(G, n_members, h_members):
     """Coset space H / N realized as a GroupTable.
 
     Cosets are ordered by smallest member, which puts the identity coset at
     index 0.
     """
-    rows = G.rows()
-    coset_index = {}
-    reps = []
-    for x in sorted(h_members):  # x is the smallest member of a new coset
-        if x not in coset_index:
-            rx = rows[x]
-            for t in n_members:
-                coset_index[rx[t]] = len(reps)
-            reps.append(x)
+    # an empty N has no cosets, and fails the size check
+    coset_of, cosets = left_cosets(G, n_members, sorted(h_members)) if n_members else ({}, {})
     m = len(h_members)
-    if len(coset_index) != m or len(reps) * len(n_members) != m:
+    if len(coset_of) != m or len(cosets) * len(n_members) != m:
         raise DomainError("coset space has inconsistent size; is N normal in H?")
-    return GroupTable([[coset_index[rows[a][b]] for b in reps] for a in reps])
+    rows, number = G.rows(), dict(zip(cosets, count()))
+    return GroupTable([[number[coset_of[rows[a][b]]] for b in cosets] for a in cosets])
 
 
 def quotient(G_amb, N_sub, H):

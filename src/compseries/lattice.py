@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 
 from . import config
 from .errors import DomainError
@@ -49,6 +49,7 @@ from .group_core import (
     is_abelian_members,
     is_solvable_members,
     element_power,
+    left_cosets,
     mask_of,
     mask_of_flags,
     members_of,
@@ -76,10 +77,20 @@ class SubgroupSet:
         return {s.mask for s in self.items}
 
 
+def sorted_subgroups(G, masks, interned):
+    """The validated subgroups of the bit mask list ``masks``, sorted by (order, members).
+
+    ``interned`` maps each mask made so far to its one Subgroup; it gains the new ones.
+    """
+    for m in masks:
+        if m not in interned:
+            interned[m] = Subgroup.from_mask(G, m)
+    return sorted(map(interned.get, masks), key=lambda s: (s.order, s.members))
+
+
 def _subgroup_set(G, masks):
     """The subgroups of bit masks ``masks`` as a SubgroupSet sorted by (order, members)."""
-    subs = [Subgroup.from_mask(G, m) for m in masks]
-    return SubgroupSet(G, sorted(subs, key=lambda s: (s.order, s.members)))
+    return SubgroupSet(G, sorted_subgroups(G, masks, {}))
 
 
 def all_subgroups(G):
@@ -263,8 +274,7 @@ def _coordinate_slices(G):
         n = G.order
         if n > 1 and G.is_abelian and all(x == i for x, i in enumerate(G.inv_list())):
             # every element is its own coset of the trivial subgroup
-            rank, coords = _elem_abelian_coords(G, range(n), range(n), 2)
-            G._slices = [mask_of(x for x in range(n) if coords[x][j]) for j in range(rank)]
+            G._slices = [lv[1] for lv in _level_masks(G, *left_cosets(G, (0,), range(n)), 2)]
         else:
             G._slices = []
     return G._slices
@@ -277,54 +287,37 @@ def _prime_index_masks(G, members, d):
     subgroup when H is abelian.  For each prime p of |H/d| the normal
     subgroups of index p are the kernels of the maps onto Z_p, i.e. the
     hyperplanes of the elementary abelian quotient H / K with K = d * H^p.
-    For solvable H these are all the maximal normal subgroups.  One walk
-    over ``members``, which is ascending, labels each coset x*K by its
-    least member x, gathered from row x of the table in one C-level call,
-    and builds the coset's bit mask; ``_hyperplane_masks`` builds the
-    kernels from the cosets' coordinates and masks.
+    For solvable H these are all the maximal normal subgroups.  The cosets
+    x*K come from ``left_cosets``, as ``members`` is ascending, and
+    ``_hyperplane_masks`` builds the kernels from their level masks.
     """
-    rows = G.rows()
     out = []
     for p, _ in prime_exponents(len(members) // len(d)):
         powers = {element_power(G, x, p) for x in members}
         # K = d when every p-th power is trivial, as in an elementary abelian H
         kernel = d if len(powers) == 1 else _dimino_close(G, (*d, *powers))[0]
-        take = itemgetter(*kernel, 0)  # the trailing 0 keeps a tuple when K is trivial
-        coset_of = {}
-        masks = {}  # least member -> bit mask of its coset
-        for x in members:
-            if x not in coset_of:
-                coset = take(rows[x])[:-1]
-                coset_of.update(dict.fromkeys(coset, x))
-                masks[x] = mask_of(coset)
-        rank, coords = _elem_abelian_coords(G, list(masks), coset_of, p)
-        out += _hyperplane_masks(p, rank, [(coords[x], m) for x, m in masks.items()])
+        out += _hyperplane_masks(p, _level_masks(G, *left_cosets(G, kernel, members), p))
     return out
 
 
-def _hyperplane_masks(p, rank, cosets):
+def _hyperplane_masks(p, level):
     """Kernels of the (p^rank - 1)/(p - 1) maps onto Z_p, from level masks.
 
-    ``cosets`` holds the (coordinate tuple, bit mask) pair of each coset of
-    an elementary abelian quotient of rank ``rank``; a map is normalized so
-    that its first non-zero coordinate, the lead, is 1.  Level mask
-    ``level[j][v]`` is the OR of the masks of the cosets whose coordinate j
-    is v, and a map f on the coordinates after the lead is held as its p
-    level masks L, L[w] the OR of the masks of the cosets that f sends to w.
-    All indices mod p, the kernel of e_lead + f is the OR over v of
-    ``level[lead][v] & L[-v]``, and f + a*e_j has the level masks
-    L'[w] = OR over u of ``level[j][u] & L[w - a*u]``.  So with the lead
-    walked from the last coordinate down, each map costs p^2 mask
-    operations, not one length-rank product per coset.
+    ``level`` holds the level masks of an elementary abelian quotient of
+    rank ``len(level)``: ``level[j][v]`` is the OR of the masks of the
+    cosets whose coordinate j is v.  A map is normalized so that its first
+    non-zero coordinate, the lead, is 1, and a map f on the coordinates
+    after the lead is held as its p level masks L, L[w] the OR of the masks
+    of the cosets that f sends to w.  All indices mod p, the kernel of
+    e_lead + f is the OR over v of ``level[lead][v] & L[-v]``, and f + a*e_j
+    has the level masks L'[w] = OR over u of ``level[j][u] & L[w - a*u]``.
+    So with the lead walked from the last coordinate down, each map costs
+    p^2 mask operations.
     """
-    level = [[0] * p for _ in range(rank)]
-    for c, m in cosets:
-        for lv, v in zip(level, c):
-            lv[v] |= m
     out = []
     # the maps on no coordinate: only the zero map, which sends all of H to 0
     maps = [[reduce(or_, level[0])] + [0] * (p - 1)]
-    for j in reversed(range(rank)):
+    for j in reversed(range(len(level))):
         lv = level[j]
         for L in maps:
             # L[:1] + L[:0:-1] is L[-v] for v = 0..p-1
@@ -338,20 +331,18 @@ def _hyperplane_masks(p, rank, cosets):
     return out
 
 
-def _elem_abelian_coords(G, reps, coset_of, p):
-    """Coordinates of the elementary abelian p-group quotient spanned by ``reps``.
+def _level_masks(G, coset_of, cosets, p):
+    """Level masks of the elementary abelian p-group quotient with cosets ``cosets``.
 
-    ``coset_of`` maps each element to the rep of its coset, and ``reps``
-    holds one rep per coset, the identity's first.  Returns (rank, coords)
-    where coords maps each rep to the tuple of its residues mod p.  Basis
-    vectors are picked greedily in rep order, so the assignment is
-    deterministic.
+    ``coset_of`` and ``cosets`` are as ``left_cosets`` returns them, the
+    identity's coset first.  Basis vectors are picked greedily in key order,
+    so the coordinates are deterministic, and ``level[j][v]`` is the bit
+    mask of the union of the cosets whose coordinate j is v, mod p.
     """
-    q = len(reps)
     rows = G.rows()
     coords = {0: ()}
     d = 0
-    for g in reps:
+    for g in cosets:
         if g in coords:
             continue
         for r, c in list(coords.items()):
@@ -361,7 +352,11 @@ def _elem_abelian_coords(G, reps, coset_of, p):
                 cur = coset_of[rows[cur][g]]
                 coords[cur] = c + (j,)
         d += 1
-        if len(coords) == q:
+        if len(coords) == len(cosets):
             break
-    coords = {k: v + (0,) * (d - len(v)) for k, v in coords.items()}
-    return d, coords
+    level = [[0] * p for _ in range(d)]
+    for x, coset in cosets.items():
+        m = mask_of(coset)
+        for lv, v in zip(level, coords[x] + (0,) * d):  # the coordinates past the tuple are 0
+            lv[v] |= m
+    return level

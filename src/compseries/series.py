@@ -21,7 +21,7 @@ from itertools import islice
 
 from . import config, group_core, lattice
 from .errors import DomainError
-from .group_core import Subgroup
+from .group_core import Subgroup, _index
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def fold_series(G, extend, limit=None):
     The arguments are checked at call time.
     """
     config.check_order(G.order)
-    if limit is not None and limit < 1:
+    if limit is not None and _index(limit, "limit") < 1:
         raise DomainError("limit must be a positive integer")
     walk = _fold_walk(G, extend)
     return walk if limit is None else islice(walk, limit)
@@ -125,14 +125,8 @@ def _fold_walk(G, extend):
     def kids(term):
         found = children.get(term.mask)
         if found is None:
-            found = []
-            for mask in lattice.maximal_normal_member_sets(G, term.mask):
-                child = interned.get(mask)
-                if child is None:
-                    child = interned[mask] = Subgroup.from_mask(G, mask)
-                found.append(child)
-            found.sort(key=lambda c: (c.order, c.members))
-            children[term.mask] = found
+            masks = lattice.maximal_normal_member_sets(G, term.mask)
+            found = children[term.mask] = lattice.sorted_subgroups(G, masks, interned)
         return found
 
     values = [None]

@@ -401,3 +401,32 @@ def test_sweep_preconditions():
     with pytest.raises(CapacityError):
         sweep_theorem_43(config.DEFAULT_SWEEP_CAP + 1)
 
+
+
+# ---------------------------------------------------------------------------
+# integers only: a float, a bool or a string is refused before any comparison
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(bound, (16.0,), id="bound-float"),
+        pytest.param(bound, (True,), id="bound-bool"),
+        pytest.param(bound, ("16",), id="bound-str"),
+        pytest.param(sweep_theorem_43, (100.5,), id="sweep-float"),
+        pytest.param(check_step4, (1.5,), id="step4-float"),
+        pytest.param(check_step4, (True,), id="step4-bool"),
+        pytest.param(check_inequality_1, (10.5, 3), id="inequality1-float-n"),
+        pytest.param(check_inequality_1, (10, 3.0), id="inequality1-float-p"),
+        pytest.param(check_induction_base, (5, 1.5), id="induction-float-alpha"),
+        pytest.param(check_induction_base, (5.0, 2), id="induction-float-p"),
+        pytest.param(ilog, (2, 10.5), id="ilog-float-n"),
+        pytest.param(ilog, (2.0, 10), id="ilog-float-base"),
+        pytest.param(InequalityParams.make, (1.5, 1, 5), id="params-float-alpha1"),
+        pytest.param(InequalityParams, (1, 1, 5, "1"), id="params-str-s"),
+        pytest.param(InequalityParams, (1, True, 5, 1), id="params-bool-alpha_r"),
+    ],
+)
+def test_bounds_refuse_non_integers(fn, args):
+    with pytest.raises(DomainError, match="is not an integer index"):
+        fn(*args)

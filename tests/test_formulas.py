@@ -183,3 +183,49 @@ def test_maximal_count_formula_values():
     assert maximal_subgroup_count_formula(11) == 1
     assert maximal_subgroup_count_formula(12) == 4
     assert maximal_subgroup_count_formula(1) == 0
+
+
+# ---------------------------------------------------------------------------
+# integers only: a float, a bool or a string is refused, never truncated
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(Factorization, (((2.9, 1),),), id="Factorization-float-prime"),
+        pytest.param(Factorization, (((2, True),),), id="Factorization-bool-exponent"),
+        pytest.param(multinomial, ([1.5, 2],), id="multinomial-float"),
+        pytest.param(multinomial, (["2", 2],), id="multinomial-str"),
+        pytest.param(count_abelian, (12, [1.5, 1]), id="count_abelian-float-count"),
+        pytest.param(count_abelian, (12.0, [1, 1]), id="count_abelian-float-n"),
+        pytest.param(factorize, (12.7,), id="factorize-float"),
+        pytest.param(factorize, (True,), id="factorize-bool"),
+        pytest.param(count_cyclic, (12.0,), id="count_cyclic-float"),
+        pytest.param(count_cyclic, (True,), id="count_cyclic-bool"),
+        pytest.param(count_cyclic, ("12",), id="count_cyclic-str"),
+        pytest.param(count_elem_abelian, (2, 2.5), id="count_elem_abelian-float-k"),
+        pytest.param(count_elem_abelian, (2.0, 2), id="count_elem_abelian-float-p"),
+        pytest.param(count_elem_abelian, (2, True), id="count_elem_abelian-bool-k"),
+    ],
+)
+def test_formulas_refuse_non_integers(fn, args):
+    with pytest.raises(DomainError, match="is not an integer index"):
+        fn(*args)
+
+
+class IntLike:
+    """An integer that is not an int: it has ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_formulas_read_integer_like_values_as_ints():
+    assert Factorization(((IntLike(2), IntLike(3)),)).pairs == ((2, 3),)
+    assert type(Factorization(((IntLike(2), 1),)).pairs[0][0]) is int
+    assert multinomial([IntLike(1), 2]) == 3
+    assert count_cyclic(IntLike(12)) == count_cyclic(12) == 3
+    assert count_elem_abelian(IntLike(2), IntLike(3)) == count_elem_abelian(2, 3) == 21

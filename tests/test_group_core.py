@@ -606,6 +606,28 @@ def test_subgroup_from_mask_raises_the_tuple_constructors_errors(text):
     assert Subgroup.from_mask(G, mask_of((0, n // 2))).members == (0, n // 2)
 
 
+def test_subgroup_equality_and_hash_are_by_parent_and_mask():
+    G = realize_text("Z4")
+    by_members, by_mask = Subgroup(G, (2, 0)), Subgroup.from_mask(G, 0b101)
+    assert by_members == by_mask and hash(by_members) == hash(by_mask)
+    assert {by_members: "H"}[by_mask] == "H" and len({by_members, by_mask}) == 1
+    assert by_members != Subgroup(G, (0, 1, 2, 3))
+    # equal members on another table of the same group are another subgroup
+    other = Subgroup(realize_text("Z4"), (0, 2))
+    assert other.members == by_members.members and other.mask == by_members.mask
+    assert other != by_members and other not in {by_members, by_mask}
+    assert by_members != (0, 2) and by_members != 5
+
+
+@pytest.mark.parametrize(
+    "n_points, generators",
+    [(3, [[1.9, 2.2, 0]]), (3, [[1, 2, "0"]]), (3, [[1, True, 0]]), (2.5, []), (True, [])],
+)
+def test_build_from_generators_refuses_non_integers(n_points, generators):
+    with pytest.raises(DomainError, match="is not an integer index"):
+        build_from_generators(n_points, generators)
+
+
 def test_subgroup_from_mask_refuses_a_negative_bool_or_float_mask():
     G = realize_text("Z2")
     # -1 has every bit set in two's complement; its binary digits read (0, 1)
@@ -705,6 +727,13 @@ def test_quotient_order_identity():
         for H in all_subgroups(G):
             if is_normal(G, H):
                 assert quotient(G, H, full).order == G.order // H.order
+
+
+def test_coset_quotient_rejects_an_empty_or_non_covering_n():
+    G = realize_text("Z4")
+    for n_members, h_members in (((), (0, 1, 2, 3)), ((0, 2), (0, 1))):
+        with pytest.raises(DomainError, match="inconsistent size"):
+            coset_quotient(G, n_members, h_members)
 
 
 def test_quotient_rejects_containment_violation():

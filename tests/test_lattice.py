@@ -471,7 +471,7 @@ def _ref_prime_index_masks(G, members, d):
                 coset = [rows[x][t] for t in kernel]
                 coset_of.update(dict.fromkeys(coset, x))
                 masks[x] = mask_of(coset)
-        rank, coords = lattice._elem_abelian_coords(G, list(masks), coset_of, p)
+        rank, coords = _ref_elem_abelian_coords(G, list(masks), coset_of, p)
         cosets = [(coords[x], m) for x, m in masks.items()]
         for lead in range(rank):
             for rest in itertools.product(range(p), repeat=rank - lead - 1):
@@ -482,6 +482,36 @@ def _ref_prime_index_masks(G, members, d):
                         msk |= m
                 out.append(msk)
     return out
+
+
+def _ref_elem_abelian_coords(G, reps, coset_of, p):
+    """Coordinates of the elementary abelian p-group quotient spanned by ``reps``.
+
+    ``coset_of`` maps each element to the rep of its coset, and ``reps``
+    holds one rep per coset, the identity's first.  Returns (rank, coords)
+    where coords maps each rep to the tuple of its residues mod p, basis
+    vectors picked greedily in rep order.  Kept apart from the package's
+    level-mask routine, so that the dot-product reference shares no code
+    with the route it checks.
+    """
+    q = len(reps)
+    rows = G.rows()
+    coords = {0: ()}
+    d = 0
+    for g in reps:
+        if g in coords:
+            continue
+        for r, c in list(coords.items()):
+            c = c + (0,) * (d - len(c))
+            cur = r
+            for j in range(1, p):
+                cur = coset_of[rows[cur][g]]
+                coords[cur] = c + (j,)
+        d += 1
+        if len(coords) == q:
+            break
+    coords = {k: v + (0,) * (d - len(v)) for k, v in coords.items()}
+    return d, coords
 
 
 def _assert_hyperplanes_match_dot_products(G, H, label):

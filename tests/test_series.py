@@ -133,6 +133,15 @@ def test_enumerate_limit():
         enumerate_series(G, limit=0)
 
 
+@pytest.mark.parametrize("limit", [1.5, 2.0, True, "2"])
+def test_a_limit_that_is_not_an_integer_is_refused_at_call_time(limit):
+    G = realize_text("Z12")
+    with pytest.raises(DomainError, match="is not an integer index"):
+        enumerate_series(G, limit=limit)
+    with pytest.raises(DomainError, match="is not an integer index"):
+        fold_series(G, lambda term, above: term, limit)
+
+
 def test_enumerate_is_an_iterator_that_checks_its_arguments_at_call_time(monkeypatch):
     G = realize_text("Z12")
     chains = enumerate_series(G)
