@@ -153,6 +153,9 @@ def check_inequality_4(params):
 
 def factorial_ratio(alpha1, alpha_r, a, b):
     """(a1+ar+a+b)! a1! ar! / ((a1+ar+a)! (a1+ar+b)!) as an exact rational."""
+    alpha1, alpha_r, a, b = (_index(x, "argument") for x in (alpha1, alpha_r, a, b))
+    if min(alpha1, alpha_r, a, b) < 0:
+        raise DomainError("factorial_ratio needs nonnegative arguments")
     return Fraction(
         factorial(alpha1 + alpha_r + a + b) * factorial(alpha1) * factorial(alpha_r),
         factorial(alpha1 + alpha_r + a) * factorial(alpha1 + alpha_r + b),
@@ -223,6 +226,7 @@ class SweepResult:
 
 def primes_upto(n):
     """The primes <= n, ascending, from a bytearray sieve of Eratosthenes."""
+    n = _index(n, "n")
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -294,6 +298,7 @@ def sweep_theorem_43(n, per_order=False):
     bound_n = bound(n)
     top = ilog(2, n)
     fact = [factorial(i) for i in range(top + 1)]  # A + k <= log2(m)
+    gauss = {}  # p^a -> G(p, a), formed once per prime power
     # bound(m) = bound(2^j) on 2^j <= m < 2^(j+1), and these values increase
     # strictly with j, so a candidate equals at most one of them
     level = {bound(2**j): j for j in range(2, top + 1)}
@@ -348,7 +353,9 @@ def sweep_theorem_43(n, per_order=False):
             while q * pa * p <= n:
                 a += 1
                 pa *= p
-                gp *= gaussian_hyperplanes(p, a)
+                if pa not in gauss:
+                    gauss[pa] = gaussian_hyperplanes(p, a)
+                gp *= gauss[pa]
                 descend(i + 1, q * pa, pairs + ((p, a),), g * gp, A + a, den * fact[a])
 
     descend(0, 1, (), 1, 0, 1)

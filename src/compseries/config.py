@@ -6,7 +6,8 @@ callers; ``check_order`` is its one check.  ``check_subgroup_enum`` holds
 ``all_subgroups``, and the normal lattice of an abelian group, which is its
 whole subgroup lattice, to an order cap; ``check_join_count`` holds every
 join closure to a cap on the subgroups it finds, or will find when their
-number is known in advance.
+number is known in advance, and ``check_series_nodes`` each series walk to
+a cap on the subgroups it visits, checked the same two ways.
 """
 
 import os
@@ -22,6 +23,10 @@ SUBGROUP_ENUM_CAP = 256
 
 # subgroups one join closure may find: above E(2,7)'s 29,212, below E(2,8)'s
 SUBGROUP_JOIN_CAP = 2**15
+
+# subgroups one series walk may visit: above E(2,8)'s 417,199, below E(3,7)'s
+# 2,052,656 and E(2,9)'s 8,283,458
+SERIES_NODE_CAP = 2**19
 
 DEFAULT_SWEEP_CAP = 10**12
 
@@ -77,6 +82,12 @@ def check_join_count(n):
     """A CapacityError when a join closure finds ``n`` subgroups, past its cap."""
     if n > SUBGROUP_JOIN_CAP:
         raise CapacityError(f"{n} subgroups exceed the join-closure cap {SUBGROUP_JOIN_CAP}")
+
+
+def check_series_nodes(n):
+    """A CapacityError when a series walk visits ``n`` subgroups, past its cap."""
+    if n > SERIES_NODE_CAP:
+        raise CapacityError(f"{n} subgroups exceed the series-walk cap {SERIES_NODE_CAP}")
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Closed-form counts: cyclic, elementary abelian, abelian, and maximal-subgroup
 formulas.  Everything is exact integer arithmetic; every division asserts a
-zero remainder."""
+zero remainder, and every argument is read by ``group_core._index``, so a
+float or a bool raises DomainError."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .group_core import _index, prime_exponents
 
 def is_prime(n):
     """Deterministic trial-division primality test (desk-scale inputs)."""
+    n = _index(n, "n")
     return prime_exponents(n) == [(n, 1)]
 
 
@@ -59,7 +61,7 @@ def _factored(n):
 
 
 def exact_div(a, b):
-    q, r = divmod(a, b)
+    q, r = divmod(_index(a, "dividend"), _index(b, "divisor"))
     if r:
         raise AssertionError(f"division {a} / {b} is not exact")
     return q
@@ -82,6 +84,9 @@ def count_cyclic(n):
 
 def gaussian_hyperplanes(p, k):
     """(p^k - 1) / (p - 1): lines (equally hyperplanes) of an F_p^k space."""
+    p, k = _index(p, "p"), _index(k, "k")
+    if p < 2 or k < 0:
+        raise DomainError("gaussian_hyperplanes needs p >= 2 and k >= 0")
     return exact_div(p**k - 1, p - 1)
 
 

@@ -8,8 +8,10 @@ factor generators first, then the least indices not yet reached), is fixed
 with them;
 what is derived from them is cached on the table when first asked for:
 ``_rows`` and ``_inv_list`` here, ``_normal_cache`` (the bit masks of the
-normal lattice) and ``_slices`` (the coordinate slices of an elementary
-abelian 2-group) by ``lattice``, and ``_series_count`` by ``series``.
+normal lattice), ``_slices`` (the coordinate slices of an elementary
+abelian 2-group) and ``_maximals`` (the maximal subgroups of any other
+abelian group of squarefree exponent) by ``lattice``, and ``_series_count``
+by ``series``.
 
 Every integer that enters the package is read by one check, ``_index``,
 which refuses a bool and anything without ``__index__``, such as a float or
@@ -113,6 +115,7 @@ class GroupTable:
         self._inv_list = None
         self._normal_cache = None
         self._slices = None
+        self._maximals = None
         self._series_count = None
         self._gens = [_index(a, "generator candidate") for a in candidates]  # tried first
         if any(not 0 <= a < n for a in self._gens):

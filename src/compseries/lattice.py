@@ -2,17 +2,18 @@
 
 Every function here takes and returns subgroups as bit masks; member tuples
 are built only where the public queries make their ``Subgroup``s, sorted
-there by (order, members).  Two algorithms live here:
+there by (order, members).  Three algorithms live here:
 
-* ``all_subgroups`` and ``normal_subgroups`` — one join closure over two atom
-  sets.  Every subgroup is the join of the cyclic subgroups it contains, and
-  every normal subgroup is the join of the normal closures of its conjugacy
-  classes, so closing the trivial subgroup under joins with the atoms <g>,
-  or with the class closures, gives the whole lattice or the normal lattice.
-  The atoms are taken in turn, so after atom i every join of atoms 1..i is
-  known.  A join J is extended by atom i only when J*g, for i's first seed
-  element g, meets no earlier atom's seeds; each new subgroup then costs
-  about one Dimino step, exactly one on an elementary abelian 2-group.
+* ``all_subgroups``, and ``normal_subgroups`` of a non-abelian group — one
+  join closure over two atom sets.  Every subgroup is the join of the cyclic
+  subgroups it contains, and every normal subgroup is the join of the normal
+  closures of its conjugacy classes, so closing the trivial subgroup under
+  joins with the atoms <g>, or with the class closures, gives the whole
+  lattice or the normal lattice.  The atoms are taken in turn, so after
+  atom i every join of atoms 1..i is known.  A join J is extended by atom i
+  only when J*g, for i's first seed element g, meets no earlier atom's
+  seeds; each new subgroup then costs about one Dimino step, exactly one on
+  an elementary abelian 2-group.
 * ``maximal_normal_member_sets`` — the routine the series counter leans on.
   For a solvable subgroup H every maximal normal subgroup has prime index, so
   they are exactly the kernels of maps onto Z_p: the hyperplanes of the
@@ -24,11 +25,19 @@ there by (order, members).  Two algorithms live here:
   of H' * H^p is gathered from one table row in a C-level call and gets a
   bit mask and a coordinate vector; the cosets' masks are ORed into one
   level mask per (coordinate, value), and the hyperplanes are built from
-  level masks alone, a few mask operations per hyperplane.  When the parent
-  is itself an elementary abelian 2-group F_2^n, its n coordinate slices are
-  built once per table, and the odd sets of the maps H -> Z_2 are the span
-  under XOR of the slices cut down to H's mask: each hyperplane is H's mask
-  minus one non-zero member of that span, found without H's members.
+  level masks alone, a few mask operations per hyperplane.  An abelian
+  parent of squarefree exponent, a sum of spaces F_p^k, answers without
+  H's members.  On F_2^n the n coordinate slices are built once per table,
+  and the odd sets of the maps H -> Z_2 are the span under XOR of the
+  slices cut down to H's mask: each hyperplane is H's mask minus one
+  non-zero member of that span.  On any other such parent the maximal
+  subgroups are built once per table, and H's are their proper cuts by H's
+  mask, as each map H -> Z_p extends to the whole group.
+* ``normal_member_sets`` of an abelian subgroup H — a descent, breadth
+  first from H through ``maximal_normal_member_sets``: every subgroup of H
+  lies on a chain of prime-index steps down from H.  So the normal lattice
+  of an abelian group is found by another algorithm than ``all_subgroups``,
+  and ``verification.check_lattices`` compares the two.
 """
 
 from __future__ import annotations
@@ -103,19 +112,52 @@ def all_subgroups(G):
 def normal_member_sets(G, mask, gens):
     """Bit masks of all normal subgroups of the subgroup H of bit mask ``mask``.
 
-    They are the joins of the normal closures of H's conjugacy classes,
-    found by conjugating with ``gens``, which generate H.  The lattice of
-    the whole group is kept in ``G._normal_cache``.
+    ``gens`` generate H.  An abelian H, all of whose subgroups are normal,
+    gets them by ``_descent``; any other H the joins of the normal closures
+    of its conjugacy classes, found by conjugating with ``gens``.  The
+    lattice of the whole group is kept in ``G._normal_cache``.
     """
     whole = mask == (1 << G.order) - 1
     if whole and G._normal_cache is not None:
         return G._normal_cache
     _check_subspace_count(G, mask)
-    classes = [c for c in classes_of_members(G, members_of(mask), gens) if c != (0,)]
-    out = _join_closure(G, classes)
+    if is_abelian_members(G, gens):
+        out = _descent(G, mask)
+    else:
+        classes = [c for c in classes_of_members(G, members_of(mask), gens) if c != (0,)]
+        out = _join_closure(G, classes)
     if whole:
         G._normal_cache = out
     return out
+
+
+def _descent(G, mask):
+    """Bit masks of every subgroup of the abelian subgroup H of bit mask ``mask``, H first.
+
+    Breadth first from H through ``maximal_normal_member_sets``.  No subgroup
+    is missed: for K < H the abelian group H/K has a subgroup of prime index,
+    whose preimage is a maximal subgroup of H above K, so every K lies on a
+    chain of prime-index steps down from H.  config caps the masks found.
+    """
+    found, seen = [mask], {mask}
+    for m in found:  # found grows while it is walked
+        if m == 1:
+            continue
+        for child in maximal_normal_member_sets(G, m):
+            if child not in seen:
+                seen.add(child)
+                found.append(child)
+                config.check_join_count(len(found))
+    return found
+
+
+def _subspace_count(p, r):
+    """Subspaces of F_p^r: the sum over j of the Gaussian binomials [r j]_p."""
+    total, term = 0, 1
+    for j in range(r + 1):
+        total += term  # term = [r j]_p
+        term = term * (p ** (r - j) - 1) // (p ** (j + 1) - 1)
+    return total
 
 
 def _check_subspace_count(G, mask):
@@ -123,16 +165,23 @@ def _check_subspace_count(G, mask):
 
     When G is an elementary abelian 2-group, the subgroup H of bit mask
     ``mask`` is F_2^r with 2^r = |H|, and its subgroups, all normal, number
-    the sum over j of the Gaussian binomials [r j]_2; other tables are held
-    by the count inside ``_join_closure``.
+    ``_subspace_count(2, r)``; other tables are held by the count inside
+    ``_join_closure`` and ``_descent``.
     """
     if _coordinate_slices(G):
-        r = mask.bit_count().bit_length() - 1
-        total, term = 0, 1
-        for j in range(r + 1):
-            total += term  # term = [r j]_2
-            term = term * (2 ** (r - j) - 1) // (2 ** (j + 1) - 1)
-        config.check_join_count(total)
+        config.check_join_count(_subspace_count(2, mask.bit_count().bit_length() - 1))
+
+
+def elementary_subgroup_count(G):
+    """The number of subgroups of G when G is an elementary abelian p-group, else None.
+
+    G is then F_p^k, with p^k = |G|, and has ``_subspace_count(p, k)`` subgroups.
+    """
+    pairs = prime_exponents(G.order)
+    if len(pairs) != 1 or not _squarefree_exponent(G):
+        return None
+    ((p, k),) = pairs
+    return _subspace_count(p, k)
 
 
 def _join_closure(G, seeds):
@@ -232,12 +281,13 @@ def maximal_normal_member_sets(G, mask):
     Returns one bit mask per subgroup, distinct and in no particular order;
     ``members_of`` turns a mask back into its member tuple.  The series
     recursion looks its children up by mask and builds members only for the
-    subgroups it has not seen.  On an elementary abelian 2-group table H's
-    members are never built: the hyperplanes come from the table's coordinate
-    slices cut down to H.
+    subgroups it has not seen.  On an abelian table of squarefree exponent
+    H's members are never built: the hyperplanes come from the table's
+    coordinate slices, or from its maximal subgroups, cut down to H.
     """
     slices = _coordinate_slices(G)
-    members = None if slices else members_of(mask)
+    maximals = _table_maximals(G)
+    members = None if slices or maximals else members_of(mask)
     # H is closed once, here, for the generators that is_abelian_members,
     # derived_members and normal_member_sets read; in an abelian G no
     # generators are needed, and the empty set commutes
@@ -256,6 +306,12 @@ def maximal_normal_member_sets(G, mask):
                     if len(hyperplanes) == mask.bit_count():
                         break
             return hyperplanes[1:]
+        if maximals:
+            # each map H -> Z_p extends to G, so its kernel is H cut by the
+            # kernel K of a map G -> Z_p; K holds H for the maps zero on H
+            cuts = set(map(mask.__and__, maximals))
+            cuts.discard(mask)
+            return list(cuts)
         return _prime_index_masks(G, members, (0,))
     d, d_gens = derived_members(G, gens)
     # H is solvable iff H' is
@@ -278,6 +334,36 @@ def _coordinate_slices(G):
         else:
             G._slices = []
     return G._slices
+
+
+def _squarefree_exponent(G):
+    """True iff G is abelian and x^r = 1 for each x in G, r the product of the primes of |G|.
+
+    Then each Sylow subgroup of G is elementary abelian, F_p^k, and it is
+    enough to test the generators ``G._gens``.
+    """
+    if not G.is_abelian:
+        return False
+    r = 1
+    for p, _ in prime_exponents(G.order):
+        r *= p
+    return all(element_power(G, x, r) == 0 for x in G._gens)
+
+
+def _table_maximals(G):
+    """G's maximal subgroups when G is abelian of squarefree exponent but not F_2^n, else [].
+
+    G is then a sum of spaces F_p^k, each map H -> Z_p of a subgroup H
+    extends to G as a linear functional does from a subspace, and so H's
+    maximal subgroups are its proper cuts by G's.  The slices of F_2^n find
+    them faster: 0.12-0.18 s against 0.46-0.50 s for all 29,211 non-trivial
+    subgroups of E(2,7) (2-CPU host, in-process).  Cached on the table as
+    ``G._maximals``.
+    """
+    if G._maximals is None:
+        cut = not _coordinate_slices(G) and _squarefree_exponent(G)
+        G._maximals = _prime_index_masks(G, range(G.order), (0,)) if cut else []
+    return G._maximals
 
 
 def _prime_index_masks(G, members, d):

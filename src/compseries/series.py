@@ -67,6 +67,7 @@ def count_series(G):
     config.check_order(G.order)
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
+    _check_walk_size(G)
     # the memo starts with c(trivial) = 1; the trivial subgroup's mask is 1
     value = 1 if G.order == 1 else _count(G, (1 << G.order) - 1, {1: 1})
     G._series_count = value
@@ -77,8 +78,9 @@ def _count(G, mask, memo):
     """c(H) for the non-trivial subgroup H of bit mask ``mask``, not yet in ``memo``.
 
     Each child is looked up in the memo before it is recursed into, and the
-    result is stored under ``mask``.  A module-level function, not a closure
-    over ``memo``, so that the memo is freed as soon as the count returns.
+    result is stored under ``mask``; config caps the memo's size.  A
+    module-level function, not a closure over ``memo``, so that the memo is
+    freed as soon as the count returns.
     """
     total = 0
     for child in lattice.maximal_normal_member_sets(G, mask):
@@ -87,7 +89,19 @@ def _count(G, mask, memo):
             c = _count(G, child, memo)
         total += c
     memo[mask] = total
+    config.check_series_nodes(len(memo))
     return total
+
+
+def _check_walk_size(G):
+    """Refuse, before any walk, an elementary abelian G with more subgroups than the walk cap.
+
+    Every subgroup of an abelian G is a term of some composition series, so
+    the walk would visit them all.
+    """
+    total = lattice.elementary_subgroup_count(G)
+    if total is not None:
+        config.check_series_nodes(total)
 
 
 def fold_series(G, extend, limit=None):
@@ -101,6 +115,7 @@ def fold_series(G, extend, limit=None):
     config.check_order(G.order)
     if limit is not None and _index(limit, "limit") < 1:
         raise DomainError("limit must be a positive integer")
+    _check_walk_size(G)
     walk = _fold_walk(G, extend)
     return walk if limit is None else islice(walk, limit)
 
@@ -111,7 +126,8 @@ def _fold_walk(G, extend):
     ``stack`` holds an iterator over the sorted children of each term of the
     path, under one over the full group, and ``values`` each term's value,
     under None.  ``interned`` maps each mask built to its one Subgroup, and
-    ``children`` each term walked to its children, found once.
+    ``children`` each term walked to its children, found once; config caps
+    its size.
 
     A term whose first child is the trivial subgroup is simple: the trivial
     subgroup is maximal normal in it, so no normal subgroup lies between
@@ -127,6 +143,7 @@ def _fold_walk(G, extend):
         if found is None:
             masks = lattice.maximal_normal_member_sets(G, term.mask)
             found = children[term.mask] = lattice.sorted_subgroups(G, masks, interned)
+            config.check_series_nodes(len(children))
         return found
 
     values = [None]

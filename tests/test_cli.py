@@ -676,6 +676,16 @@ def test_lattice_of_e28_exits_4_at_the_join_cap(capsys):
     assert "join-closure cap" in err and len(err.splitlines()) == 1, err
 
 
+def test_brute_count_of_e29_exits_4_at_the_series_walk_cap(capsys):
+    # E(2,9) has 8,283,458 subgroups, each a node of the count's memo; the
+    # walk ran for about 150 s at 1.3 GB before the cap
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "count", "--group", "E(2,9)", "--mode", "brute")
+    assert time.monotonic() - t0 < 10
+    assert code == 4 and out == ""
+    assert err == "error: 8283458 subgroups exceed the series-walk cap 524288\n"
+
+
 # ---------------------------------------------------------------------------
 # cache
 

@@ -15,6 +15,7 @@ from compseries import (
     maximal_subgroup_count_formula,
     multinomial,
 )
+from compseries.bounds import factorial_ratio, primes_upto
 from compseries.formulas import exact_div, gaussian_hyperplanes, is_prime
 
 
@@ -90,6 +91,24 @@ def test_exact_div_asserts_exactness():
     assert exact_div(12, 4) == 3
     with pytest.raises(AssertionError):
         exact_div(10, 4)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (is_prime, (2.5,)),
+        (is_prime, (7.0,)),
+        (is_prime, (True,)),
+        (gaussian_hyperplanes, (3.0, 2)),
+        (gaussian_hyperplanes, (2.5, 2)),
+        (exact_div, (7.5, 2.5)),
+        (primes_upto, (10.5,)),
+        (factorial_ratio, (1.5, 1, 1, 1)),
+    ],
+)
+def test_integer_entry_points_refuse_floats_and_bools(fn, args):
+    with pytest.raises(DomainError, match="is not an integer index"):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------

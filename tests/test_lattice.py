@@ -24,10 +24,12 @@ from compseries.catalog import realize, realize_text, standard_roster
 from compseries.group_core import (
     _dimino_close,
     _members_normal_in,
+    classes_of_members,
     close_members,
     mask_of,
     members_of,
 )
+from compseries.verification import _LATTICE_HEAVY
 from compseries.lattice import (
     _maximal_among,
     maximal_normal_member_sets,
@@ -337,13 +339,24 @@ def test_maximal_normals_are_maximal_proper_normals():
                     assert not (M.mask & ~H.mask == 0), (text, M, H)
 
 
+def _class_join_normals(G, mask):
+    """The normal subgroups of the subgroup H of bit mask ``mask`` by the
+    class-seed join closure, whether or not H is abelian: for an abelian H
+    ``normal_member_sets`` descends through ``maximal_normal_member_sets``,
+    so it is no check on that route."""
+    members = members_of(mask)
+    gens = _dimino_close(G, members)[2]
+    classes = [c for c in classes_of_members(G, members, gens) if c != (0,)]
+    return lattice._join_closure(G, classes)
+
+
 def test_fast_maximal_path_matches_lattice_filter():
     """Prime-index kernel route vs filtering the normal lattice directly."""
     for text in ["Z24", "E(2,4)", "Ab(2^2+1;3^1)", "S4", "D16", "Q8xZ3", "A4", "A5", "S3xS3"]:
         G = realize_text(text)
         full = (1 << G.order) - 1
         fast = set(maximal_normal_member_sets(G, full))
-        slow = set(_maximal_among(normal_member_sets(G, full, G._gens), G.order))
+        slow = set(_maximal_among(_class_join_normals(G, full), G.order))
         assert fast == slow, text
 
 
@@ -354,8 +367,7 @@ def test_maximal_member_sets_of_proper_subgroups():
         if H.order == 1:
             continue
         fast = set(maximal_normal_member_sets(G, H.mask))
-        gens = _dimino_close(G, H.members)[2]
-        slow = set(_maximal_among(normal_member_sets(G, H.mask, gens), H.order))
+        slow = set(_maximal_among(_class_join_normals(G, H.mask), H.order))
         assert fast == slow, H.members
 
 
@@ -363,7 +375,7 @@ def _assert_route_matches_lattice(G, mask, label):
     """maximal_normal_member_sets vs the maximal proper normal subgroups."""
     masks = maximal_normal_member_sets(G, mask)
     assert len(set(masks)) == len(masks), label
-    normals = normal_member_sets(G, mask, _dimino_close(G, members_of(mask))[2])
+    normals = _class_join_normals(G, mask)
     assert set(masks) == set(_maximal_among(normals, mask.bit_count())), label
 
 
@@ -432,6 +444,68 @@ def test_elementary_abelian_table_has_k_coordinate_slices(k):
 @pytest.mark.parametrize("text", ["Z1", "Z4", "Z2xZ4", "E(3,3)", "S3", "D8"])
 def test_other_tables_have_no_coordinate_slices(text):
     assert lattice._coordinate_slices(realize_text(text)) == []
+
+
+@pytest.mark.parametrize(
+    "text, maximals", [("E(3,3)", 13), ("E(5,2)", 6), ("Z30", 3), ("E(2,2)xE(3,2)", 7)]
+)
+def test_table_maximal_route_on_every_subgroup(text, maximals):
+    """The cuts of the table's maximal subgroups vs the coset route on every
+    non-trivial subgroup of an abelian table of squarefree exponent."""
+    G = realize_text(text)
+    assert lattice._coordinate_slices(G) == []
+    assert len(lattice._table_maximals(G)) == maximals
+    for H in all_subgroups(G):
+        if H.order > 1:
+            got = maximal_normal_member_sets(G, H.mask)
+            assert len(set(got)) == len(got), H.members
+            assert set(got) == set(lattice._prime_index_masks(G, H.members, (0,))), H.members
+
+
+@pytest.mark.parametrize("text", ["Z4xZ2", "Z9xZ3", "S4", "E(2,4)"])
+def test_other_tables_have_no_table_maximals(text):
+    # a p-th power that is not trivial, a non-abelian table, and F_2^4,
+    # which keeps its coordinate slices
+    G = realize_text(text)
+    assert lattice._table_maximals(G) == []
+    assert len(lattice._coordinate_slices(G)) == (4 if text == "E(2,4)" else 0)
+
+
+def test_descent_is_the_whole_lattice_of_every_abelian_roster_group():
+    """The descent through maximal subgroups vs the join closure of the
+    cyclic subgroups, on fresh tables of every abelian roster group of order
+    <= 128 whose lattice the verify check walks."""
+    checked = 0
+    for name, spec in standard_roster(128):
+        if name in _LATTICE_HEAVY:
+            continue
+        G = realize(spec)
+        if not G.is_abelian:
+            continue
+        full = (1 << G.order) - 1
+        descent = normal_member_sets(G, full, G._gens)
+        assert len(set(descent)) == len(descent), name
+        assert set(descent) == all_subgroups(G).masks(), name
+        checked += 1
+    assert checked == 48
+
+
+def test_descent_is_held_to_the_join_cap(monkeypatch):
+    # E(3,3) has 28 subgroups; no join closure runs, and the subspace count
+    # of F_2^r does not apply to it
+    G = realize_text("E(3,3)")
+    full = (1 << G.order) - 1
+
+    def no_join(*args):
+        raise AssertionError("a join closure ran")
+
+    monkeypatch.setattr(lattice, "_join_closure", no_join)
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 28)
+    assert len(normal_member_sets(G, full, G._gens)) == 28
+    G = realize_text("E(3,3)")
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 27)
+    with pytest.raises(CapacityError, match="^28 subgroups exceed"):
+        normal_member_sets(G, full, G._gens)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from compseries import (
 from compseries.catalog import realize_text
 from compseries.config import element_cap_in_force
 from compseries.formulas import count_cyclic
-from compseries import lattice
+from compseries import config, lattice
 from compseries.group_core import _dimino_close, members_of
 from compseries.lattice import _maximal_among, normal_member_sets
 from compseries.series import fold_series
@@ -290,6 +290,41 @@ def test_enumerate_finds_each_terms_children_once(monkeypatch):
     assert len(list(enumerate_series(realize_text("E(2,4)")))) == 1 * 3 * 7 * 15
     # once per non-trivial subspace of F_2^4
     assert len(calls) == 66 and set(calls.values()) == {1}
+
+
+def test_an_elementary_abelian_walk_past_the_cap_is_refused_before_it_starts(monkeypatch):
+    # E(3,3) has 28 subgroups, each a term of some series
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lattice, "maximal_normal_member_sets", no_walk)
+    monkeypatch.setattr(config, "SERIES_NODE_CAP", 27)
+    G = realize_text("E(3,3)")
+    with pytest.raises(CapacityError, match="^28 subgroups exceed the series-walk cap 27$"):
+        count_series(G)
+    with pytest.raises(CapacityError, match="^28 subgroups exceed"):
+        fold_series(G, _prepend_mask)
+
+
+@pytest.mark.parametrize(
+    "cap, count_fits, fold_fits", [(8, True, True), (7, False, True), (6, False, False)]
+)
+def test_the_series_walks_are_held_to_the_node_cap(monkeypatch, cap, count_fits, fold_fits):
+    # Z4xZ2, not elementary abelian, has 8 subgroups, each a term of some
+    # series: the count's memo holds all 8, and the fold finds the children
+    # of the 7 non-trivial ones
+    monkeypatch.setattr(config, "SERIES_NODE_CAP", cap)
+    G = realize_text("Z4xZ2")
+    if count_fits:
+        assert count_series(G).value == 5
+    else:
+        with pytest.raises(CapacityError, match=f"^{cap + 1} subgroups exceed the series-walk cap"):
+            count_series(G)
+    if fold_fits:
+        assert len(list(fold_series(G, _prepend_mask))) == 5
+    else:
+        with pytest.raises(CapacityError, match=f"^{cap + 1} subgroups exceed the series-walk cap"):
+            list(fold_series(G, _prepend_mask))
 
 
 def test_count_e26_walks_each_subspace_once(monkeypatch):

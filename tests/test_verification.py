@@ -85,3 +85,21 @@ def test_run_verify_walks_each_group_once(monkeypatch):
     # one subgroup lattice per table serves its normal-lattice and maximal-count rows
     repeated = [made[i][0] for i, c in lattices.items() if c > 1]
     assert len(lattices) == 92 and repeated == []
+
+
+def test_a_normal_lattice_mask_that_is_no_subgroup_fails_its_row(monkeypatch):
+    # the row compares masks: a mask the lattice routine adds is checked
+    # against the validated subgroups of the filtered side, not validated twice
+    normal_member_sets = lattice.normal_member_sets
+
+    def one_more(G, mask, gens):
+        # bit 0 clear: {1} holds no identity, so it is no subgroup
+        return normal_member_sets(G, mask, gens) + [0b10]
+
+    rows = verification.check_lattices(16)
+    normal = [r for r in rows if r.name.startswith("normal lattice ")]
+    assert normal and all(r.status == "PASS" for r in normal)
+    monkeypatch.setattr(lattice, "normal_member_sets", one_more)
+    rows = verification.check_lattices(16)
+    normal = [r for r in rows if r.name.startswith("normal lattice ")]
+    assert normal and all(r.status == "FAIL" for r in normal), normal
