@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import factorial, isqrt, prod
@@ -123,6 +122,8 @@ def lemma41_ratio_exceeds_one(params):
 
 def xy_ratio(params):
     """X/Y as an exact rational; strictly increasing in alpha1 per the lemma."""
+    from fractions import Fraction
+
     a1, ar, p, k = params.alpha1, params.alpha_r, params.p, params.k
     x = prod(2**i - 1 for i in range(a1 + 1, a1 + k + 1)) * factorial(a1) * factorial(ar)
     y = prod(gaussian_hyperplanes(p, j) for j in range(1, ar + 1)) * factorial(a1 + ar)
@@ -156,6 +157,8 @@ def factorial_ratio(alpha1, alpha_r, a, b):
     alpha1, alpha_r, a, b = (_index(x, "argument") for x in (alpha1, alpha_r, a, b))
     if min(alpha1, alpha_r, a, b) < 0:
         raise DomainError("factorial_ratio needs nonnegative arguments")
+    from fractions import Fraction
+
     return Fraction(
         factorial(alpha1 + alpha_r + a + b) * factorial(alpha1) * factorial(alpha_r),
         factorial(alpha1 + alpha_r + a) * factorial(alpha1 + alpha_r + b),

@@ -12,21 +12,24 @@ large exits 4 before anything is built.
 ends any command with exit 0; a write error on an ``--output`` file exits 1.
 Counts are serialized as decimal strings of any length, so arbitrary
 precision survives JSON.
+
+Each command imports the modules it uses when it runs, and the top level
+only ``config``, ``errors`` and the stdlib every command needs: ``bound``
+and ``sweep`` load ``bounds``, ``catalog list`` loads ``catalog``, and
+``count`` loads ``series`` only to walk a table.  So a command that builds
+no table loads no ``lattice``, ``series`` or ``verification``, and no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
-from decimal import Decimal
 
-from . import bounds, catalog, config, formulas, group_core, lattice, series
+from . import config
 from .errors import CapacityError, DomainError, SpecParseError
 
 EXIT_OK = 0
@@ -47,6 +50,8 @@ def _cache_dir():
 
 def _source_digest():
     """SHA-256 of the package's own ``.py`` sources: a count cached by other code misses."""
+    import hashlib
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
@@ -58,6 +63,8 @@ def _source_digest():
 
 
 def _cache_path(key):
+    import hashlib
+
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return os.path.join(_cache_dir(), digest + ".json")
 
@@ -87,6 +94,8 @@ def cache_put(key, report):
     d = _cache_dir()
     if not d:
         return
+    import tempfile
+
     tmp = None
     try:
         os.makedirs(d, exist_ok=True)
@@ -112,6 +121,10 @@ def _load_group(args):
     or the SHA-256 of the group file's bytes, so a rewritten file misses.
     """
     if getattr(args, "group_file", None):
+        import hashlib
+
+        from . import group_core
+
         with open(args.group_file, "rb") as fh:
             data = fh.read()
         try:
@@ -137,6 +150,8 @@ def _load_group(args):
         return f"file:{args.group_file}", source, G, None
     if not getattr(args, "group", None):
         raise SpecParseError("one of --group or --group-file is required")
+    from . import catalog
+
     spec = catalog.parse_spec(args.group)
     name = catalog.print_spec(spec)
     return name, name, None, spec  # realized lazily; formula modes may not need it
@@ -153,6 +168,8 @@ def _decimal(value):
     str() refuses ints of more than 4300 digits (sys.int_max_str_digits);
     Decimal converts exactly and prints an exponent-0 value as plain digits.
     """
+    from decimal import Decimal
+
     return str(Decimal(value))
 
 
@@ -209,6 +226,8 @@ def _base_report(command, inputs, t0):
 
 def _formula_count(spec):
     """(count, tag) via the closed forms, or None when no formula applies."""
+    from . import catalog, formulas
+
     if spec is None or not catalog.is_abelian_spec(spec):
         return None
     parts = catalog.abelian_prime_partitions(spec)
@@ -221,6 +240,8 @@ def _formula_count(spec):
 
 
 def cmd_count(args):
+    from . import bounds
+
     t0 = time.monotonic()
     name, source, G, spec = _load_group(args)
     if spec is not None:
@@ -254,6 +275,8 @@ def cmd_count(args):
     if want_formula:
         values[formula[1]] = formula[0]
     if want_brute:
+        from . import catalog, series
+
         if G is None:
             G = catalog.realize(spec)
         values["brute-force"] = series.count_series(G).value
@@ -282,6 +305,8 @@ def _chain_lines(G, limit):
     so each line's bytes are copied once, not once per join and once more
     to wrap them; the trivial group's one line is fixed.
     """
+    from . import series
+
     texts = {}
 
     def extend(term, above):
@@ -306,6 +331,8 @@ def cmd_enumerate(args):
     On stdout each line is flushed as it is written, so ``chains`` counts the
     lines the OS has taken, not those still in the buffer.
     """
+    from . import catalog
+
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
     if G is None:
@@ -340,6 +367,8 @@ def cmd_enumerate(args):
 
 
 def cmd_bound(args):
+    from . import bounds
+
     t0 = time.monotonic()
     value = bounds.bound(args.n)
     report = _base_report("bound", {"n": args.n}, t0)
@@ -349,6 +378,8 @@ def cmd_bound(args):
 
 
 def cmd_sweep(args):
+    from . import bounds
+
     t0 = time.monotonic()
     res = bounds.sweep_theorem_43(args.max_n, per_order=args.per_order)
     report = _base_report("sweep", {"max_n": args.max_n}, t0)
@@ -381,6 +412,8 @@ def cmd_verify(args):
 
 
 def cmd_catalog_list(args):
+    from . import catalog
+
     t0 = time.monotonic()
     entries = [
         {"spec": name, "order": spec.order()}
@@ -397,6 +430,8 @@ def cmd_catalog_list(args):
 
 
 def cmd_lattice(args):
+    from . import catalog, lattice
+
     t0 = time.monotonic()
     name, _, G, spec = _load_group(args)
     if G is None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import and_, or_
 
 from . import config
@@ -172,16 +173,27 @@ def _check_subspace_count(G, mask):
         config.check_join_count(_subspace_count(2, mask.bit_count().bit_length() - 1))
 
 
-def elementary_subgroup_count(G):
-    """The number of subgroups of G when G is an elementary abelian p-group, else None.
+def socle_subgroup_count(pairs):
+    """Subgroups of the product of the spaces F_p^r, for the (p, r) in ``pairs``.
 
-    G is then F_p^k, with p^k = |G|, and has ``_subspace_count(p, k)`` subgroups.
+    The primes are distinct, so each subgroup is a product of one subspace
+    of each F_p^r, and they number the product of ``_subspace_count(p, r)``.
     """
-    pairs = prime_exponents(G.order)
-    if len(pairs) != 1 or not _squarefree_exponent(G):
-        return None
-    ((p, k),) = pairs
-    return _subspace_count(p, k)
+    return prod(_subspace_count(p, r) for p, r in pairs)
+
+
+def central_socle_exponents(G):
+    """[(p, r), ...] for each prime p of |Z(G)|: the central x with x^p = 1 form F_p^r.
+
+    Z(G) is the set of elements that commute with the generators ``G._gens``.
+    """
+    rows = G.rows()
+    centre = [z for z in range(G.order) if all(rows[g][z] == rows[z][g] for g in G._gens)]
+    pairs = []
+    for p, _ in prime_exponents(len(centre)):
+        ((_, r),) = prime_exponents(sum(element_power(G, z, p) == 0 for z in centre))
+        pairs.append((p, r))
+    return pairs
 
 
 def _join_closure(G, seeds):

@@ -686,6 +686,52 @@ def test_brute_count_of_e29_exits_4_at_the_series_walk_cap(capsys):
     assert err == "error: 8283458 subgroups exceed the series-walk cap 524288\n"
 
 
+# Starts the CLI in a fresh interpreter whose address space is capped at
+# 2 GiB, a cap that the parent process does not share.
+CAPPED_CLI_CODE = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+    "from compseries.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+# The largest in-cap member of each catalog family, and products at the cap.
+# The refused ones are refused from the subgroups of their centre's socle:
+# 8,283,458 for E(2,9), doubled by the Z3 factor, and E(2,10)'s for E(2,10)xZ3.
+@pytest.mark.parametrize(
+    "spec, code, reply",
+    [
+        ("Z4096", 0, "1"),
+        ("D4096", 0, "4095"),
+        ("A5xA5", 0, "2"),
+        ("E(2,10)", 4, 229755605),
+        ("E(2,12)", 4, 488176700923),
+        ("E(3,7)", 4, 2052656),
+        ("E(2,9)xS3", 4, 8283458),
+        ("E(2,9)xZ3", 4, 16566916),
+        ("E(2,10)xZ3", 4, 459511210),
+    ],
+)
+def test_the_cap_roster_ends_within_10_s_in_bounded_memory(spec, code, reply):
+    pytest.importorskip("resource")
+    argv = ["count", "--group", spec, "--mode", "brute", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI_CODE, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=10,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["result"]["count"] == reply
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {reply} subgroups exceed the series-walk cap 524288\n"
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -794,6 +840,45 @@ def test_no_cache_dir_means_no_files(capsys, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the package's names, bound on first access
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in compseries.__all__:
+        value = getattr(compseries, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert vars(compseries)[name] is value, name  # bound on first access
+
+
+def test_the_public_names_are_46_and_unique():
+    assert len(set(compseries.__all__)) == len(compseries.__all__) == 46
+
+
+def test_an_unknown_package_name_raises_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        compseries.no_such_name
+    assert not hasattr(compseries, "no_such_name")
+
+
+def test_dir_lists_every_public_name_and_a_star_import_binds_them():
+    # in a fresh interpreter, so that dir() runs before any name is bound
+    code = (
+        "import json\n"
+        "import compseries\n"
+        "unlisted = sorted(set(compseries.__all__) - set(dir(compseries)))\n"
+        "from compseries import *\n"
+        "names = compseries.__all__\n"
+        "unbound = [n for n in names if globals().get(n) is not getattr(compseries, n)]\n"
+        "print(json.dumps([unlisted, unbound, '__version__' in dir(compseries)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], True]
+
+
+# ---------------------------------------------------------------------------
 # entry points
 
 
@@ -848,20 +933,27 @@ def test_console_script():
     assert json.loads(proc.stdout)["result"]["count"] == "3"
 
 
-# Imports the package and the CLI in a fresh interpreter, runs the commands
-# given as JSON in argv[1], then `count --group S4`, and prints whether numpy
-# was loaded after each step, with the exit codes.
+# Imports the package, then the CLI, in a fresh interpreter, runs the
+# commands given as JSON in argv[1], then `count --group S4`, and prints
+# whether numpy was loaded, and which of the package's submodules, after
+# each step, with the exit codes.
 COLD_START_CODE = (
     "import contextlib, io, json, sys\n"
-    "import compseries, compseries.cli\n"
-    "seen = {'import': 'numpy' in sys.modules}\n"
+    "def loaded():\n"
+    "    mods = sorted(m for m in sys.modules if m.startswith('compseries.'))\n"
+    "    return {'numpy': 'numpy' in sys.modules, 'modules': mods}\n"
+    "import compseries\n"
+    "seen = {'import': loaded()}\n"
+    "import compseries.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    seen['codes'] = [compseries.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-    "    seen['table_free'] = 'numpy' in sys.modules\n"
+    "    seen['table_free'] = loaded()\n"
     "    seen['s4_code'] = compseries.cli.main(['count', '--group', 'S4'])\n"
-    "seen['s4'] = 'numpy' in sys.modules\n"
+    "seen['s4'] = loaded()\n"
     "print(json.dumps(seen))\n"
 )
+
+TABLE_MODULES = {"compseries.lattice", "compseries.series", "compseries.verification"}
 
 
 def test_table_free_commands_never_load_numpy():
@@ -881,11 +973,14 @@ def test_table_free_commands_never_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert not seen["import"]
+    assert not seen["import"]["numpy"]
+    assert set(seen["import"]["modules"]) <= {"compseries.errors"}
     assert seen["codes"] == [code for _, code in commands]
-    assert not seen["table_free"]
-    # the first table loads it, so the checks above cannot pass vacuously
-    assert seen["s4_code"] == 0 and seen["s4"]
+    assert not seen["table_free"]["numpy"]
+    assert not TABLE_MODULES & set(seen["table_free"]["modules"])
+    # the first table loads them, so the checks above cannot pass vacuously
+    assert seen["s4_code"] == 0 and seen["s4"]["numpy"]
+    assert {"compseries.lattice", "compseries.series"} <= set(seen["s4"]["modules"])
 
 
 def test_count_of_a_large_table_never_loads_numpy_random():

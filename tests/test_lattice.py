@@ -180,6 +180,38 @@ def test_subspace_count_refuses_an_elementary_abelian_lattice_before_any_join(
             normal_member_sets(G, plane, [1, 2])
 
 
+@pytest.mark.parametrize(
+    "text, pairs",
+    [
+        ("Z12", [(2, 1), (3, 1)]),
+        ("Z4xZ2", [(2, 2)]),
+        ("Q8", [(2, 1)]),
+        ("A4", []),
+        ("Z6xS3", [(2, 1), (3, 1)]),
+        ("E(3,2)xZ4", [(2, 1), (3, 2)]),
+        ("E(2,3)xS3", [(2, 3)]),
+    ],
+)
+def test_the_central_socle_count_is_the_number_of_its_subgroups(realized, text, pairs):
+    # the subgroups of G inside its centre whose elements all have squarefree
+    # order, found by the whole lattice and a brute-force centre
+    G = realized(text)
+    rows, n = G.rows(), G.order
+    centre = {z for z in range(n) if all(rows[g][z] == rows[z][g] for g in range(n))}
+
+    def squarefree_order(x):
+        k, y = 1, x
+        while y:
+            k, y = k + 1, rows[y][x]
+        return all(k % (p * p) for p in range(2, k + 1))
+
+    socle = [
+        H for H in all_subgroups(G) if all(x in centre and squarefree_order(x) for x in H.members)
+    ]
+    assert lattice.central_socle_exponents(G) == pairs
+    assert lattice.socle_subgroup_count(pairs) == len(socle)
+
+
 @pytest.mark.parametrize("text", ["S4", "D8xZ3", "A4xZ2", "S3xS3", "Q8xS4", "A5"])
 def test_normal_member_sets_of_every_subgroup_filter_its_lattice(text):
     # the class-seed closure on proper subgroups H: the joins of the normal

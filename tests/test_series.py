@@ -22,7 +22,7 @@ from compseries.catalog import realize_text
 from compseries.config import element_cap_in_force
 from compseries.formulas import count_cyclic
 from compseries import config, lattice
-from compseries.group_core import _dimino_close, members_of
+from compseries.group_core import _dimino_close, members_of, prime_exponents
 from compseries.lattice import _maximal_among, normal_member_sets
 from compseries.series import fold_series
 
@@ -304,6 +304,34 @@ def test_an_elementary_abelian_walk_past_the_cap_is_refused_before_it_starts(mon
         count_series(G)
     with pytest.raises(CapacityError, match="^28 subgroups exceed"):
         fold_series(G, _prepend_mask)
+
+
+def test_a_walk_past_the_cap_is_refused_from_the_centre_before_it_starts(monkeypatch):
+    # E(2,3)xS3's centre is E(2,3), whose 16 subgroups are all normal in it
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    G = realize_text("E(2,3)xS3")
+    monkeypatch.setattr(lattice, "maximal_normal_member_sets", no_walk)
+    monkeypatch.setattr(config, "SERIES_NODE_CAP", 15)
+    with pytest.raises(CapacityError, match="^16 subgroups exceed the series-walk cap 15$"):
+        count_series(G)
+    with pytest.raises(CapacityError, match="^16 subgroups exceed"):
+        fold_series(G, _prepend_mask, limit=1)
+
+
+def test_the_centre_is_not_read_when_the_orders_own_count_fits(monkeypatch):
+    # at the real cap, no order up to 256 reads its centre
+    counts = [lattice.socle_subgroup_count(prime_exponents(n)) for n in range(1, 257)]
+    assert max(counts) == 417199 <= config.SERIES_NODE_CAP
+
+    def no_centre(G):
+        raise AssertionError("the centre was read")
+
+    # |G| = 48 = 2^4 * 3, and F_2^4 x F_3 has 67 * 2 = 134 subgroups
+    monkeypatch.setattr(lattice, "central_socle_exponents", no_centre)
+    monkeypatch.setattr(config, "SERIES_NODE_CAP", 134)
+    assert count_series(realize_text("E(2,3)xS3")).value > 0
 
 
 @pytest.mark.parametrize(
