@@ -5,9 +5,9 @@ inside a ``cli.main`` call, or from ``element_cap_in_force`` for library
 callers; ``check_order`` is its one check.  ``check_subgroup_enum`` holds
 ``all_subgroups``, and the normal lattice of an abelian group, which is its
 whole subgroup lattice, to an order cap; ``check_join_count`` holds every
-join closure to a cap on the subgroups it finds, or will find when their
-number is known in advance, and ``check_series_nodes`` each series walk to
-a cap on the subgroups it visits, checked the same two ways.
+join closure to a cap on the subgroups it finds, or on a number it will
+find, counted by ``lattice.check_walk_size``, and ``check_series_nodes``
+each series walk to a cap on the subgroups it visits, checked the same two ways.
 """
 
 import os

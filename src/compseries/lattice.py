@@ -38,6 +38,9 @@ there by (order, members).  Three algorithms live here:
   lies on a chain of prime-index steps down from H.  So the normal lattice
   of an abelian group is found by another algorithm than ``all_subgroups``,
   and ``verification.check_lattices`` compares the two.
+
+One gate, ``check_walk_size``, refuses before it starts each walk of the
+whole group, lattice or series, that its centre shows to be past the cap.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from math import prod
 from operator import and_, or_
 
 from . import config
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .group_core import (
     GroupTable,
     Subgroup,
@@ -106,7 +109,7 @@ def _subgroup_set(G, masks):
 def all_subgroups(G):
     """Every subgroup of G exactly once: the joins of its cyclic subgroups."""
     config.check_subgroup_enum(G.order)
-    _check_subspace_count(G, (1 << G.order) - 1)
+    check_walk_size(G, config.check_join_count)
     return _subgroup_set(G, _join_closure(G, [(g,) for g in range(1, G.order)]))
 
 
@@ -119,9 +122,10 @@ def normal_member_sets(G, mask, gens):
     lattice of the whole group is kept in ``G._normal_cache``.
     """
     whole = mask == (1 << G.order) - 1
-    if whole and G._normal_cache is not None:
-        return G._normal_cache
-    _check_subspace_count(G, mask)
+    if whole:
+        if G._normal_cache is not None:
+            return G._normal_cache
+        check_walk_size(G, config.check_join_count)
     if is_abelian_members(G, gens):
         out = _descent(G, mask)
     else:
@@ -161,18 +165,6 @@ def _subspace_count(p, r):
     return total
 
 
-def _check_subspace_count(G, mask):
-    """Refuse, before any join is built, a lattice of F_2^r past the join cap.
-
-    When G is an elementary abelian 2-group, the subgroup H of bit mask
-    ``mask`` is F_2^r with 2^r = |H|, and its subgroups, all normal, number
-    ``_subspace_count(2, r)``; other tables are held by the count inside
-    ``_join_closure`` and ``_descent``.
-    """
-    if _coordinate_slices(G):
-        config.check_join_count(_subspace_count(2, mask.bit_count().bit_length() - 1))
-
-
 def socle_subgroup_count(pairs):
     """Subgroups of the product of the spaces F_p^r, for the (p, r) in ``pairs``.
 
@@ -182,18 +174,57 @@ def socle_subgroup_count(pairs):
     return prod(_subspace_count(p, r) for p, r in pairs)
 
 
-def central_socle_exponents(G):
-    """[(p, r), ...] for each prime p of |Z(G)|: the central x with x^p = 1 form F_p^r.
-
-    Z(G) is the set of elements that commute with the generators ``G._gens``.
-    """
+def _central(G, elements):
+    """The members of Z(G) among ``elements``: those that commute with ``G._gens``."""
     rows = G.rows()
-    centre = [z for z in range(G.order) if all(rows[g][z] == rows[z][g] for g in G._gens)]
+    return [z for z in elements if all(rows[g][z] == rows[z][g] for g in G._gens)]
+
+
+def central_socle_exponents(G):
+    """[(p, r), ...] for each prime p of |Z(G)|: the central x with x^p = 1 form F_p^r."""
+    centre = _central(G, range(G.order))
     pairs = []
     for p, _ in prime_exponents(len(centre)):
         ((_, r),) = prime_exponents(sum(element_power(G, z, p) == 0 for z in centre))
         pairs.append((p, r))
     return pairs
+
+
+def socle_bound(G):
+    """Normal subgroups of G counted from its centre: a lower bound on their number.
+
+    Let S be the socle of Z(G): the product over the primes p of the central
+    x with x^p = 1, each an F_p^r.  Each subgroup W of S is central, so
+    normal.  When G' is non-trivial and meets S trivially (iff it meets Z(G)
+    trivially), the products W * N, N in {1, G'}, are normal and distinct:
+    Dedekind's law gives (W * N) & S = W * (N & S) = W, and |G'| > 1 tells
+    the two N apart.  So the count of S's subgroups doubles.
+    """
+    count = socle_subgroup_count(central_socle_exponents(G))
+    if not G.is_abelian and _central(G, derived_members(G, G._gens)[0]) == [0]:
+        count *= 2
+    return count
+
+
+def check_walk_size(G, check):
+    """Refuse, before it starts, a walk of G that ``check`` would stop on the way.
+
+    ``check`` is ``config.check_join_count`` for a lattice and
+    ``config.check_series_nodes`` for a series walk.  Each walk finds every
+    normal subgroup, as a subgroup, a member of the normal lattice, or a term
+    of some composition series (G > N > 1 refines to one); ``socle_bound(G)``
+    counts some of them, and on an elementary abelian G all its subgroups.
+    The centre is read only when the same count for the prime powers of |G|
+    passes the cap.  That count bounds ``socle_bound(G)``: S's rank r at each
+    p is at most p's exponent in |G|, and when the bound is doubled S < G,
+    so some r falls short; F_p^(r+1) has at least twice the subspaces of
+    F_p^r, W and W + <e> for each W.  At the real caps no order up to 256
+    reads its centre for a series walk, nor below 256 for a lattice.
+    """
+    try:
+        check(socle_subgroup_count(prime_exponents(G.order)))
+    except CapacityError:
+        check(socle_bound(G))
 
 
 def _join_closure(G, seeds):

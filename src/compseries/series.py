@@ -10,7 +10,8 @@ DFS of the same lattice, children in (order, members) order, so output order
 is reproducible; the walk finds the children of each subgroup once.  Below a
 simple term the walk ends the series without descending: the trivial
 subgroup is maximal normal only in a simple group, where it is the one
-maximal normal subgroup.
+maximal normal subgroup.  ``lattice.check_walk_size`` refuses a walk past
+``config.SERIES_NODE_CAP`` before it starts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import islice
 
 from . import config, group_core, lattice
 from .errors import DomainError
-from .group_core import Subgroup, _index, prime_exponents
+from .group_core import Subgroup, _index
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def count_series(G):
     config.check_order(G.order)
     if G._series_count is not None:
         return SeriesCount(G._series_count, "cached")
-    _check_walk_size(G)
+    lattice.check_walk_size(G, config.check_series_nodes)
     # the memo starts with c(trivial) = 1; the trivial subgroup's mask is 1
     value = 1 if G.order == 1 else _count(G, (1 << G.order) - 1, {1: 1})
     G._series_count = value
@@ -93,21 +94,6 @@ def _count(G, mask, memo):
     return total
 
 
-def _check_walk_size(G):
-    """Refuse, before any walk, a G whose centre's socle has more subgroups than the walk cap.
-
-    That socle is the product, over the primes p, of the central x with
-    x^p = 1, and each of its subgroups is central, so normal in G.  A
-    normal N is a term of some composition series, as G > N > 1 refines to
-    one, so the walk would visit them all.  On an elementary abelian G, its
-    own socle, they are all of G's subgroups.  The centre is read only when
-    the same count for the prime powers of |G|, which bounds it, passes the
-    cap: never at an order up to 256, where F_2^8's 417,199 is the largest.
-    """
-    if lattice.socle_subgroup_count(prime_exponents(G.order)) > config.SERIES_NODE_CAP:
-        config.check_series_nodes(lattice.socle_subgroup_count(lattice.central_socle_exponents(G)))
-
-
 def fold_series(G, extend, limit=None):
     """Iterator over one folded value per composition series of G, or the first ``limit``.
 
@@ -119,7 +105,7 @@ def fold_series(G, extend, limit=None):
     config.check_order(G.order)
     if limit is not None and _index(limit, "limit") < 1:
         raise DomainError("limit must be a positive integer")
-    _check_walk_size(G)
+    lattice.check_walk_size(G, config.check_series_nodes)
     walk = _fold_walk(G, extend)
     return walk if limit is None else islice(walk, limit)
 

@@ -649,24 +649,26 @@ def test_lattice_normal_of_a_large_abelian_group_exits_4(capsys, group):
 
 @pytest.mark.parametrize("what", ["subgroups", "normal"])
 def test_lattice_past_the_join_cap_exits_4(capsys, monkeypatch, what):
-    # E(2,6) has 2,825 subgroups
-    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 1000)
-    t0 = time.monotonic()
-    code, out, err = run(capsys, "lattice", "--group", "E(2,6)", "--what", what)
-    assert time.monotonic() - t0 < 2
-    assert code == 4 and out == ""
-    # the subspace count of F_2^6 refuses it before any join is built
-    assert err == "error: 2825 subgroups exceed the join-closure cap 1000\n"
+    # E(2,6) has 2,825 subgroups, and E(2,5)xZ3 374 * 2 = 748; each is its
+    # own central socle, so the gate refuses it by that count before any join
+    for group, cap, count in [("E(2,6)", 1000, 2825), ("E(2,5)xZ3", 500, 748)]:
+        monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", cap)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "lattice", "--group", group, "--what", what)
+        assert time.monotonic() - t0 < 2
+        assert code == 4 and out == ""
+        assert err == f"error: {count} subgroups exceed the join-closure cap {cap}\n"
 
 
 @pytest.mark.parametrize("what", ["subgroups", "normal"])
 def test_lattice_past_the_join_cap_inside_the_closure_exits_4(capsys, monkeypatch, what):
-    # E(2,5)xZ3 has 748 subgroups; not an elementary abelian 2-group, so the
-    # closure's own count stops it
-    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 500)
-    code, out, err = run(capsys, "lattice", "--group", "E(2,5)xZ3", "--what", what)
+    # Z2xD8xD8 has 2,428 subgroups, 484 of them normal, but its central
+    # socle E(2,3) has 16 subgroups and meets its derived subgroup; so the
+    # gate passes it, and the closure's own count stops it
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 400)
+    code, out, err = run(capsys, "lattice", "--group", "Z2xD8xD8", "--what", what)
     assert code == 4 and out == ""
-    assert err == "error: 501 subgroups exceed the join-closure cap 500\n"
+    assert err == "error: 401 subgroups exceed the join-closure cap 400\n"
 
 
 def test_lattice_of_e28_exits_4_at_the_join_cap(capsys):
@@ -699,6 +701,8 @@ CAPPED_CLI_CODE = (
 # The largest in-cap member of each catalog family, and products at the cap.
 # The refused ones are refused from the subgroups of their centre's socle:
 # 8,283,458 for E(2,9), doubled by the Z3 factor, and E(2,10)'s for E(2,10)xZ3.
+# Those of E(2,8) and E(2,9) are doubled for E(2,8)xS3 and E(2,9)xS3, whose
+# derived subgroup A3 meets the centre trivially.
 @pytest.mark.parametrize(
     "spec, code, reply",
     [
@@ -708,7 +712,8 @@ CAPPED_CLI_CODE = (
         ("E(2,10)", 4, 229755605),
         ("E(2,12)", 4, 488176700923),
         ("E(3,7)", 4, 2052656),
-        ("E(2,9)xS3", 4, 8283458),
+        ("E(2,8)xS3", 4, 834398),
+        ("E(2,9)xS3", 4, 16566916),
         ("E(2,9)xZ3", 4, 16566916),
         ("E(2,10)xZ3", 4, 459511210),
     ],

@@ -2,10 +2,13 @@
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compseries import (
     CapacityError,
@@ -19,7 +22,7 @@ from compseries import (
     maximal_subgroups_count,
     normal_subgroups,
 )
-from compseries import group_core
+from compseries import group_core, series
 from compseries.catalog import realize, realize_text, standard_roster
 from compseries.group_core import (
     _dimino_close,
@@ -28,6 +31,7 @@ from compseries.group_core import (
     close_members,
     mask_of,
     members_of,
+    prime_exponents,
 )
 from compseries.verification import _LATTICE_HEAVY
 from compseries.lattice import (
@@ -162,7 +166,7 @@ def test_subspace_count_refuses_an_elementary_abelian_lattice_before_any_join(
     if k <= 5:
         assert len(all_subgroups(G)) == count
     monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", count)
-    lattice._check_subspace_count(G, whole)  # exactly at the cap: allowed
+    lattice.check_walk_size(G, config.check_join_count)  # exactly at the cap: allowed
     monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", count - 1)
 
     def no_join(*args):
@@ -210,6 +214,85 @@ def test_the_central_socle_count_is_the_number_of_its_subgroups(realized, text, 
     ]
     assert lattice.central_socle_exponents(G) == pairs
     assert lattice.socle_subgroup_count(pairs) == len(socle)
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("S3", 2),
+        ("A4", 2),
+        ("Z4xS3", 4),
+        ("E(2,3)xS3", 32),
+        ("D8", 2),
+        ("Q8", 2),
+        ("D8xS3", 2),
+        ("Z3xQ8", 4),
+    ],
+)
+def test_the_socle_bound_doubles_when_the_derived_subgroup_misses_the_centre(
+    realized, text, bound
+):
+    # G' meets Z(G) trivially in the first four; in the rest it holds the
+    # centre of the D8 or Q8 factor
+    assert lattice.socle_bound(realized(text)) == bound
+
+
+def test_the_centre_is_not_read_for_a_lattice_when_the_orders_own_count_fits(monkeypatch):
+    # at the real join cap, no order below 256 reads its centre
+    counts = [lattice.socle_subgroup_count(prime_exponents(n)) for n in range(1, 256)]
+    assert max(counts) == 29212 <= config.SUBGROUP_JOIN_CAP
+
+    def no_centre(G):
+        raise AssertionError("the centre was read")
+
+    # |S4| = 24 = 2^3 * 3, and F_2^3 x F_3 has 16 * 2 = 32 subgroups; S4 has
+    # 30, 4 of them normal.  One below that, the gate reads the centre
+    # through the patched function.
+    monkeypatch.setattr(lattice, "socle_bound", no_centre)
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 32)
+    assert len(all_subgroups(realize_text("S4"))) == 30
+    assert len(normal_subgroups(realize_text("S4"))) == 4
+    monkeypatch.setattr(config, "SUBGROUP_JOIN_CAP", 31)
+    for build in (all_subgroups, normal_subgroups):
+        with pytest.raises(AssertionError, match="the centre was read"):
+            build(realize_text("S4"))
+
+
+def _assert_the_gate_fits_the_walks(G):
+    """socle_bound(G) <= G's normal subgroups <= the count walk's memo, and
+    the bound from |G|'s prime powers is at least socle_bound(G)."""
+    full = (1 << G.order) - 1
+    memo = {1: 1}
+    if G.order > 1:
+        series._count(G, full, memo)
+    bound = lattice.socle_bound(G)
+    normals = len(normal_member_sets(G, full, G._gens))
+    assert bound <= normals <= len(memo)
+    assert lattice.socle_subgroup_count(prime_exponents(G.order)) >= bound
+    return bound, normals
+
+
+@pytest.mark.parametrize("text", [name for name, _ in standard_roster(128)])
+def test_the_gate_never_refuses_a_roster_walk_that_fits(realized, text):
+    bound, normals = _assert_the_gate_fits_the_walks(realized(text))
+    if text.startswith("E(") and "x" not in text:  # F_p^k is its own socle
+        assert bound == normals
+
+
+_GATE_ATOMS = {
+    "Z2": 2, "Z3": 3, "Z4": 4, "S3": 6, "D8": 8, "Q8": 8, "A4": 12, "E(2,2)": 4, "E(3,2)": 9,
+    "D10": 10,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(_GATE_ATOMS)), min_size=2, max_size=3).filter(
+        lambda atoms: math.prod(map(_GATE_ATOMS.get, atoms)) <= 256
+    )
+)
+def test_the_gate_never_refuses_a_product_walk_that_fits(atoms):
+    _assert_the_gate_fits_the_walks(realize_text("x".join(atoms)))
 
 
 @pytest.mark.parametrize("text", ["S4", "D8xZ3", "A4xZ2", "S3xS3", "Q8xS4", "A5"])

@@ -307,17 +307,20 @@ def test_an_elementary_abelian_walk_past_the_cap_is_refused_before_it_starts(mon
 
 
 def test_a_walk_past_the_cap_is_refused_from_the_centre_before_it_starts(monkeypatch):
-    # E(2,3)xS3's centre is E(2,3), whose 16 subgroups are all normal in it
+    # E(2,3)xS3's centre is E(2,3), whose 16 subgroups W are all normal in
+    # it, and so are the 16 W x A3, as A3 = G' meets the centre trivially:
+    # at cap 31 the socle alone fits, and the group is still refused
     def no_walk(*args):
         raise AssertionError("the walk started")
 
     G = realize_text("E(2,3)xS3")
     monkeypatch.setattr(lattice, "maximal_normal_member_sets", no_walk)
-    monkeypatch.setattr(config, "SERIES_NODE_CAP", 15)
-    with pytest.raises(CapacityError, match="^16 subgroups exceed the series-walk cap 15$"):
-        count_series(G)
-    with pytest.raises(CapacityError, match="^16 subgroups exceed"):
-        fold_series(G, _prepend_mask, limit=1)
+    for cap in (15, 31):
+        monkeypatch.setattr(config, "SERIES_NODE_CAP", cap)
+        with pytest.raises(CapacityError, match=f"^32 subgroups exceed the series-walk cap {cap}$"):
+            count_series(G)
+        with pytest.raises(CapacityError, match="^32 subgroups exceed"):
+            fold_series(G, _prepend_mask, limit=1)
 
 
 def test_the_centre_is_not_read_when_the_orders_own_count_fits(monkeypatch):
@@ -328,10 +331,14 @@ def test_the_centre_is_not_read_when_the_orders_own_count_fits(monkeypatch):
     def no_centre(G):
         raise AssertionError("the centre was read")
 
-    # |G| = 48 = 2^4 * 3, and F_2^4 x F_3 has 67 * 2 = 134 subgroups
-    monkeypatch.setattr(lattice, "central_socle_exponents", no_centre)
+    # |G| = 48 = 2^4 * 3, and F_2^4 x F_3 has 67 * 2 = 134 subgroups; one
+    # below that, the gate reads the centre through the patched function
+    monkeypatch.setattr(lattice, "socle_bound", no_centre)
     monkeypatch.setattr(config, "SERIES_NODE_CAP", 134)
     assert count_series(realize_text("E(2,3)xS3")).value > 0
+    monkeypatch.setattr(config, "SERIES_NODE_CAP", 133)
+    with pytest.raises(AssertionError, match="the centre was read"):
+        count_series(realize_text("E(2,3)xS3"))
 
 
 @pytest.mark.parametrize(
